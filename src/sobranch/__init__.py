@@ -72,7 +72,6 @@ from .weights import (
     RootData,
     SignedPermutation,
     Weight,
-    apply,
     interlace,
     is_dominant,
     iter_dominant_weights,
@@ -103,7 +102,6 @@ __all__ = [
     "SobranchError",
     "U3Weight",
     "Weight",
-    "apply",
     "branch_oracle",
     "closed_form_B",
     "closed_form_D",

@@ -46,9 +46,6 @@ class So3MultiSet:
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._mult.items())
 
-    def support(self) -> list[int]:
-        return sorted(self._mult)
-
     def dimension(self) -> int:
         return sum(m * (2 * k + 1) for k, m in self._mult.items())
 

@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import partition
 from .clebsch_gordan import closed_form_B, closed_form_D
@@ -33,277 +32,185 @@ from .weights import (
     g_rank,
     interlace,
     iter_dominant_weights,
-)
-
-METHODS = (
-    "closed-form",
-    "ending",
-    "kostant-full",
-    "kostant-reduced",
-    "oracle",
-    "tsukamoto",
+    k_family,
 )
 
 USAGE_ERROR = 2
 
 
-@dataclass
-class QuerySpec:
-    """Parsed invocation: which subcommand, on which inputs, by which
-    methods, in which output format."""
-
-    subcommand: str
-    family: str = FAMILY_B
-    n: int = 2
-    lam: tuple[int, ...] = ()
-    mu: tuple[int, ...] | None = None
-    k: int | None = None
-    max_first: int = 2
-    methods: tuple[str, ...] = ()
-    fmt: str = "text"
-    corrupt: str | None = None
+def _oracle(q: BranchingQuery, tables: dict) -> int:
+    """The oracle's answer from its full table of q.lam, built once per run."""
+    key = (q.family, q.n, q.lam)
+    if key not in tables:
+        tables[key] = branch_oracle(q.family, q.n, q.lam)
+    return tables[key].get(q.mu, q.k)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+# Method name -> route(query, per-run oracle tables), in alphabetical order.
+# The entries look the library functions up in this module's globals at call
+# time rather than capturing them here, so code that rebinds one of them on
+# this module (a tracer, a test injecting a fault) sees every call.
+METHODS = {
+    "closed-form": lambda q, tables: (
+        closed_form_B(q.lam, q.mu) if q.family == FAMILY_B else closed_form_D(q.lam, q.mu)
+    ).mult(q.k),
+    "ending": lambda q, tables: (
+        ending_B(q.lam, q.mu) if q.family == FAMILY_B else ending_D(q.lam, q.mu)
+    ).mult(q.k),
+    "kostant-full": lambda q, tables: multiplicity_kostant_full(q),
+    "kostant-reduced": lambda q, tables: multiplicity_kostant_reduced(q),
+    "oracle": _oracle,
+    "tsukamoto": lambda q, tables: multiplicity_tsukamoto(q),
+}
+
+
+def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise DomainError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
+def _methods(text: str) -> tuple[str, ...]:
     if text.strip() == "all":
-        return METHODS
-    out = []
-    for name in text.split(","):
-        name = name.strip()
+        return tuple(METHODS)
+    names = tuple(name.strip() for name in text.split(","))
+    for name in names:
         if name not in METHODS:
-            raise DomainError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
-        out.append(name)
-    if not out:
-        raise DomainError("method list must be non-empty")
-    return tuple(out)
-
-
-class _OracleCache:
-    """Per-run cache of full oracle tables keyed by (family, n, lam)."""
-
-    def __init__(self):
-        self._tables = {}
-
-    def table(self, family: str, n: int, lam: Weight):
-        key = (family, n, lam.coords2)
-        if key not in self._tables:
-            self._tables[key] = branch_oracle(family, n, lam)
-        return self._tables[key]
+            raise argparse.ArgumentTypeError(
+                f"unknown method {name!r}; choose from {', '.join(METHODS)}"
+            )
+    return names
 
 
 def _method_value(
-    method: str,
-    family: str,
-    n: int,
-    lam: Weight,
-    mu: Weight,
-    k: int,
-    oracles: _OracleCache,
+    method: str, family: str, n: int, lam: Weight, mu: Weight, k: int, tables: dict
 ) -> int | None:
     """One method's answer, or None where the method does not apply."""
     q = BranchingQuery(family, n, lam, mu, k)
     try:
-        if method == "kostant-full":
-            return multiplicity_kostant_full(q)
-        if method == "kostant-reduced":
-            return multiplicity_kostant_reduced(q)
-        if method == "tsukamoto":
-            return multiplicity_tsukamoto(q)
-        if method == "oracle":
-            return oracles.table(family, n, lam).get(mu, k)
-        if method == "closed-form":
-            form = closed_form_B(lam, mu) if family == FAMILY_B else closed_form_D(lam, mu)
-            return form.mult(k)
-        if method == "ending":
-            form = ending_B(lam, mu) if family == FAMILY_B else ending_D(lam, mu)
-            return form.mult(k)
+        return METHODS[method](q, tables)
     except PreconditionError:
         return None
-    raise DomainError(f"unknown method {method!r}")
 
 
-def _emit(report: dict, rows: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        report = dict(report)
-        report["results"] = rows
-        json.dump(report, out)
-        out.write("\n")
-        return
-    if fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["mu", "k", "method", "multiplicity"])
-        for row in rows:
-            mult = row["multiplicity"]
-            writer.writerow(
-                [
-                    ",".join(str(c) for c in row["mu"]),
-                    row["k"],
-                    row["method"],
-                    "n/a" if mult is None else mult,
-                ]
-            )
-        return
-    for row in rows:
-        mult = row["multiplicity"]
-        out.write(
-            "mu=%-12s k=%-3d %-15s %s\n"
-            % (
-                ",".join(str(c) for c in row["mu"]),
-                row["k"],
-                row["method"],
-                "n/a" if mult is None else mult,
-            )
-        )
+def _row(mu, k: int, method: str, multiplicity: int | None) -> dict:
+    return {"mu": list(mu), "k": k, "method": method, "multiplicity": multiplicity}
 
 
 def _sorted_rows(rows: list[dict]) -> list[dict]:
     return sorted(rows, key=lambda r: (tuple(r["mu"]), r["k"], r["method"]))
 
 
-def _cmd_mult(spec: QuerySpec, out) -> int:
-    check_family_n(spec.family, spec.n)
-    lam = Weight.of_ints(spec.lam)
-    mu = Weight.of_ints(spec.mu)
-    oracles = _OracleCache()
-    rows = []
-    for method in spec.methods:
-        value = _method_value(method, spec.family, spec.n, lam, mu, spec.k, oracles)
-        if value is not None and spec.corrupt == method:
-            value += 1
-        rows.append(
-            {"mu": list(spec.mu), "k": spec.k, "method": method, "multiplicity": value}
-        )
-    report = {"family": spec.family, "n": spec.n, "lambda": list(spec.lam)}
-    _emit(report, _sorted_rows(rows), spec.fmt, out)
-    values = {row["multiplicity"] for row in rows if row["multiplicity"] is not None}
+def _emit(report: dict, rows: list[dict], fmt: str, out) -> None:
+    """Write the rows, sorted by (mu, k, method), as JSON under ``report``,
+    as CSV, or as text; an inapplicable method prints as n/a."""
+    rows = _sorted_rows(rows)
+    if fmt == "json":
+        out.write(json.dumps({**report, "results": rows}) + "\n")
+        return
+    cells = [
+        (",".join(str(c) for c in r["mu"]), r["k"], r["method"],
+         "n/a" if r["multiplicity"] is None else r["multiplicity"])
+        for r in rows
+    ]
+    if fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(["mu", "k", "method", "multiplicity"])
+        writer.writerows(cells)
+    else:
+        out.writelines("mu=%-12s k=%-3d %-15s %s\n" % cell for cell in cells)
+
+
+def _cmd_mult(args: argparse.Namespace, out) -> int:
+    check_family_n(args.family, args.n)
+    lam, mu = Weight.of_ints(args.lam), Weight.of_ints(args.mu)
+    tables: dict = {}
+    rows = [
+        _row(args.mu, args.k, method,
+             _method_value(method, args.family, args.n, lam, mu, args.k, tables))
+        for method in args.methods
+    ]
+    _emit({"family": args.family, "n": args.n, "lambda": list(args.lam)}, rows, args.format, out)
+    values = {row["multiplicity"] for row in rows} - {None}
     return 0 if len(values) <= 1 else 1
 
 
-def _cmd_decompose(spec: QuerySpec, out) -> int:
-    check_family_n(spec.family, spec.n)
-    lam = Weight.of_ints(spec.lam)
-    method = spec.methods[0]
-    rows = []
-    if method == "oracle":
-        table = branch_oracle(spec.family, spec.n, lam)
-        for (mu, k), m in table.items():
-            rows.append({"mu": list(mu), "k": k, "method": "oracle", "multiplicity": m})
-    elif method == "closed-form":
-        bound = max((c for c in spec.lam), default=0)
-        for mu in iter_dominant_weights(
-            "D" if spec.family == FAMILY_B else "B", spec.n, bound
-        ):
-            if not interlace("simple", spec.family, lam, mu):
-                continue
-            form = closed_form_B(lam, mu) if spec.family == FAMILY_B else closed_form_D(lam, mu)
-            for k, m in form.items():
-                rows.append(
-                    {"mu": list(mu.to_ints()), "k": k, "method": "closed-form", "multiplicity": m}
-                )
+def _cmd_decompose(args: argparse.Namespace, out) -> int:
+    check_family_n(args.family, args.n)
+    lam = Weight.of_ints(args.lam)
+    if args.methods == "oracle":
+        table = branch_oracle(args.family, args.n, lam)
+        rows = [_row(mu, k, "oracle", m) for (mu, k), m in table.items()]
     else:
-        raise DomainError("decompose supports methods 'oracle' and 'closed-form'")
-    report = {"family": spec.family, "n": spec.n, "lambda": list(spec.lam)}
-    _emit(report, _sorted_rows(rows), spec.fmt, out)
+        closed_form = closed_form_B if args.family == FAMILY_B else closed_form_D
+        rows = [
+            _row(mu.to_ints(), k, "closed-form", m)
+            for mu in iter_dominant_weights(k_family(args.family), args.n, max(args.lam))
+            if interlace("simple", args.family, lam, mu)
+            for k, m in closed_form(lam, mu).items()
+        ]
+    _emit({"family": args.family, "n": args.n, "lambda": list(args.lam)}, rows, args.format, out)
     return 0
 
 
-def _cmd_verify(spec: QuerySpec, out) -> int:
-    check_family_n(spec.family, spec.n)
-    oracles = _OracleCache()
-    k_family = "D" if spec.family == FAMILY_B else "B"
-    points = 0
-    for lam in iter_dominant_weights(spec.family, g_rank(spec.family, spec.n), spec.max_first):
+def _grid(family: str, n: int, bound: int):
+    """Every (lam, mu, k) of a verify sweep: dominant lam and mu with first
+    coordinate at most ``bound``, and k up to the coordinate sum of lam."""
+    mus = list(iter_dominant_weights(k_family(family), n, bound))
+    for lam in iter_dominant_weights(family, g_rank(family, n), bound):
         k_top = sum(abs(c) for c in lam.to_ints())
-        for mu in iter_dominant_weights(k_family, spec.n, spec.max_first):
+        for mu in mus:
             for k in range(k_top + 1):
-                values = {}
-                for method in spec.methods:
-                    v = _method_value(method, spec.family, spec.n, lam, mu, k, oracles)
-                    if v is not None and spec.corrupt == method:
-                        v += 1
-                    values[method] = v
-                points += 1
-                seen = {v for v in values.values() if v is not None}
-                if len(seen) > 1:
-                    report = {
-                        "family": spec.family,
-                        "n": spec.n,
-                        "max": spec.max_first,
-                        "methods": list(spec.methods),
-                        "points": points,
-                        "divergence": {
-                            "lambda": list(lam.to_ints()),
-                            "mu": list(mu.to_ints()),
-                            "k": k,
-                            "values": values,
-                        },
-                    }
-                    if spec.fmt == "json":
-                        json.dump(report, out)
-                        out.write("\n")
-                    else:
-                        d = report["divergence"]
-                        out.write(
-                            "DIVERGENCE family=%s n=%d lambda=%s mu=%s k=%d: %s\n"
-                            % (
-                                spec.family,
-                                spec.n,
-                                d["lambda"],
-                                d["mu"],
-                                d["k"],
-                                ", ".join(f"{m}={v}" for m, v in sorted(values.items())),
-                            )
-                        )
-                    return 1
-    report = {
-        "family": spec.family,
-        "n": spec.n,
-        "max": spec.max_first,
-        "methods": list(spec.methods),
-        "points": points,
-        "divergence": None,
-    }
-    if spec.fmt == "json":
-        json.dump(report, out)
-        out.write("\n")
+                yield lam, mu, k
+
+
+def _cmd_verify(args: argparse.Namespace, out) -> int:
+    check_family_n(args.family, args.n)
+    if args.max < 0:
+        raise DomainError(f"--max must be non-negative, got {args.max}")
+    tables: dict = {}
+    report = {"family": args.family, "n": args.n, "max": args.max,
+              "methods": list(args.methods), "points": 0, "divergence": None}
+    for lam, mu, k in _grid(args.family, args.n, args.max):
+        values = {
+            method: _method_value(method, args.family, args.n, lam, mu, k, tables)
+            for method in args.methods
+        }
+        report["points"] += 1
+        if len(set(values.values()) - {None}) > 1:
+            report["divergence"] = {"lambda": list(lam.to_ints()), "mu": list(mu.to_ints()),
+                                    "k": k, "values": values}
+            break
+    d = report["divergence"]
+    if args.format == "json":
+        out.write(json.dumps(report) + "\n")
+    elif d is None:
+        out.write(f"OK family={args.family} n={args.n} max={args.max}: {report['points']} "
+                  f"grid points agree across {', '.join(args.methods)}\n")
     else:
-        out.write(
-            "OK family=%s n=%d max=%d: %d grid points agree across %s\n"
-            % (spec.family, spec.n, spec.max_first, points, ", ".join(spec.methods))
-        )
-    return 0
+        values = ", ".join(f"{m}={v}" for m, v in sorted(d["values"].items()))
+        out.write(f"DIVERGENCE family={args.family} n={args.n} lambda={d['lambda']} "
+                  f"mu={d['mu']} k={d['k']}: {values}\n")
+    return 0 if d is None else 1
 
 
-def _cmd_u3so3(spec: QuerySpec, out) -> int:
-    if len(spec.lam) != 3:
+def _cmd_u3so3(args: argparse.Namespace, out) -> int:
+    if len(args.lam) != 3:
         raise DomainError("u3so3 needs exactly three lambda coordinates")
-    lam_prime = U3Weight(*spec.lam)
+    lam_prime = U3Weight(*args.lam)
+    ks = [args.k] if args.k is not None else range(lam_prime.a1 - lam_prime.a3 + 1)
     rows = []
-    ks = [spec.k] if spec.k is not None else list(range(lam_prime.a1 - lam_prime.a3 + 1))
     diverged = False
     for k in ks:
-        closed = u3_to_so3_closed(lam_prime, k)
-        oracle_v = u3_to_so3_oracle(lam_prime, k)
-        if spec.corrupt == "closed-form":
-            closed += 1
+        closed, oracle_v = u3_to_so3_closed(lam_prime, k), u3_to_so3_oracle(lam_prime, k)
         diverged = diverged or closed != oracle_v
-        rows.append({"mu": [], "k": k, "method": "closed-form", "multiplicity": closed})
-        rows.append({"mu": [], "k": k, "method": "oracle", "multiplicity": oracle_v})
-    report = {"lambda_prime": list(spec.lam)}
-    if spec.fmt in ("json", "csv"):
-        _emit(report, _sorted_rows(rows), spec.fmt, out)
-    else:
+        rows += [_row((), k, "closed-form", closed), _row((), k, "oracle", oracle_v)]
+    if args.format == "text":
         for row in _sorted_rows(rows):
-            out.write(
-                "k=%-3d %-13s %d\n" % (row["k"], row["method"], row["multiplicity"])
-            )
+            out.write("k=%-3d %-13s %d\n" % (row["k"], row["method"], row["multiplicity"]))
+    else:
+        _emit({"lambda_prime": list(args.lam)}, rows, args.format, out)
     return 1 if diverged else 0
 
 
@@ -317,83 +224,58 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, need_mu: bool, need_k: bool):
         p.add_argument("--family", choices=("B", "D"), required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--lam", required=True, help="comma-separated integers")
+        p.add_argument("--lam", type=_ints, required=True, help="comma-separated integers")
         if need_mu:
-            p.add_argument("--mu", required=True, help="comma-separated integers")
+            p.add_argument("--mu", type=_ints, required=True, help="comma-separated integers")
         if need_k:
             p.add_argument("--k", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p_mult = sub.add_parser("mult", help="per-method multiplicities for one query")
     add_common(p_mult, need_mu=True, need_k=True)
-    p_mult.add_argument("--methods", default="all")
-    p_mult.add_argument("--corrupt", help=argparse.SUPPRESS)
+    p_mult.add_argument("--methods", type=_methods, default="all")
+    p_mult.set_defaults(run=_cmd_mult)
 
     p_dec = sub.add_parser("decompose", help="full branching table of one lambda")
     add_common(p_dec, need_mu=False, need_k=False)
-    p_dec.add_argument("--methods", default="oracle")
+    p_dec.add_argument("--methods", choices=("oracle", "closed-form"), default="oracle")
+    p_dec.set_defaults(run=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="cross-method agreement sweep")
     p_ver.add_argument("--family", choices=("B", "D"), required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--max", type=int, required=True, help="bound on the first coordinate of lambda")
-    p_ver.add_argument("--methods", default="kostant-full,tsukamoto,oracle")
+    p_ver.add_argument("--methods", type=_methods, default="kostant-full,tsukamoto,oracle")
     p_ver.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p_ver.add_argument("--corrupt", help=argparse.SUPPRESS)
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_u3 = sub.add_parser("u3so3", help="U(3) to SO(3) branching, closed vs oracle")
-    p_u3.add_argument("--lam", required=True, help="three comma-separated integers")
+    p_u3.add_argument("--lam", type=_ints, required=True, help="three comma-separated integers")
     p_u3.add_argument("--k", type=int, default=None)
     p_u3.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p_u3.add_argument("--corrupt", help=argparse.SUPPRESS)
+    p_u3.set_defaults(run=_cmd_u3so3)
 
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> QuerySpec:
-    spec = QuerySpec(subcommand=args.subcommand)
-    spec.fmt = getattr(args, "format", "text")
-    spec.corrupt = getattr(args, "corrupt", None)
-    if args.subcommand != "u3so3":
-        spec.family = args.family
-        spec.n = args.n
-    if hasattr(args, "lam"):
-        spec.lam = _parse_int_list(args.lam)
-    if getattr(args, "mu", None) is not None:
-        spec.mu = _parse_int_list(args.mu)
-    if getattr(args, "k", None) is not None:
-        spec.k = args.k
-    if hasattr(args, "max"):
-        spec.max_first = args.max
-    if hasattr(args, "methods"):
-        spec.methods = _parse_methods(args.methods)
-    return spec
 
 
 def main(argv=None) -> int:
     env_limit = os.environ.get("SOBRANCH_CACHE_ENTRIES")
     if env_limit is not None:
         try:
-            partition.shared_cache().set_max_entries(int(env_limit))
+            limit = int(env_limit)
         except ValueError:
-            print("SOBRANCH_CACHE_ENTRIES must be an integer", file=sys.stderr)
+            limit = 0
+        if limit < 1:
+            print("error: SOBRANCH_CACHE_ENTRIES must be a positive integer", file=sys.stderr)
             return USAGE_ERROR
+        partition.shared_cache().set_max_entries(limit)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        spec = _spec_from_args(args)
-        if spec.subcommand == "mult":
-            return _cmd_mult(spec, sys.stdout)
-        if spec.subcommand == "decompose":
-            return _cmd_decompose(spec, sys.stdout)
-        if spec.subcommand == "verify":
-            return _cmd_verify(spec, sys.stdout)
-        if spec.subcommand == "u3so3":
-            return _cmd_u3so3(spec, sys.stdout)
-        raise DomainError(f"unknown subcommand {spec.subcommand!r}")
+        return args.run(args, sys.stdout)
     except SobranchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -10,7 +10,6 @@ arithmetic is exact on doubled-integer tuples.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError
 from .weights import (
@@ -26,6 +25,7 @@ from .weights import (
     is_dominant,
     is_g_dominant,
     iter_dominant_weights,
+    k_family,
     restrict,
     weyl_elements,
 )
@@ -63,9 +63,6 @@ class CharacterMap:
 
     def items(self) -> list[tuple[Weight, int]]:
         return [(Weight(k), v) for k, v in sorted(self._data.items())]
-
-    def items2(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self._data.items())
 
     def total(self) -> int:
         return sum(self._data.values())
@@ -117,12 +114,6 @@ class MultiplicityTable:
 
     def items(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
         return sorted(self._entries.items())
-
-    def rows(self) -> dict[tuple[int, ...], dict[int, int]]:
-        out: dict[tuple[int, ...], dict[int, int]] = {}
-        for (mu, k), m in self._entries.items():
-            out.setdefault(mu, {})[k] = m
-        return out
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -293,10 +284,6 @@ def xi(algebra: Algebra, eta: Weight) -> CharacterMap:
     return CharacterMap(out)
 
 
-def _k_algebra(family: str, n: int) -> Algebra:
-    return (FAMILY_D, n) if family == FAMILY_B else (FAMILY_B, n)
-
-
 def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:
     """Complete branching table of the ambient irreducible over the product
     subgroup: restrict the character, then repeatedly strip the product
@@ -311,7 +298,7 @@ def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:
     if not lam.is_integral:
         raise DomainError(f"lam={lam} is not integral")
     galg = (family, g_rank(family, n))
-    kalg = _k_algebra(family, n)
+    kalg = (k_family(family), n)
     kfam, _ = kalg
 
     residual: dict[tuple[int, ...], int] = {}

@@ -15,7 +15,6 @@ first n coordinates.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import defaultdict
 from functools import lru_cache
@@ -24,7 +23,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 from .weights import Weight
 
-#: overridden by the SOBRANCH_CACHE_ENTRIES environment variable
+#: the CLI overrides it from the SOBRANCH_CACHE_ENTRIES environment variable
 DEFAULT_CACHE_ENTRIES = 4_000_000
 
 _PERCEPTRON_ROUNDS = 100_000
@@ -38,9 +37,7 @@ class PartitionCache:
     and inserts so the cache may be shared across threads.
     """
 
-    def __init__(self, max_entries: int | None = None):
-        if max_entries is None:
-            max_entries = int(os.environ.get("SOBRANCH_CACHE_ENTRIES", DEFAULT_CACHE_ENTRIES))
+    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES):
         self.max_entries = max(1, int(max_entries))
         self._data: dict = {}
         self._lock = threading.Lock()

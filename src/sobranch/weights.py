@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -74,10 +73,6 @@ class Weight:
         return cls(tuple(2 * int(c) for c in coords))
 
     @classmethod
-    def zero(cls, rank: int) -> "Weight":
-        return cls((0,) * rank)
-
-    @classmethod
     def basis(cls, rank: int, index: int) -> "Weight":
         """The basis vector epsilon_{index+1} (0-based index)."""
         if not 0 <= index < rank:
@@ -93,9 +88,6 @@ class Weight:
     @property
     def is_integral(self) -> bool:
         return all(c % 2 == 0 for c in self.coords2)
-
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, 2) for c in self.coords2)
 
     def to_ints(self) -> tuple[int, ...]:
         if not self.is_integral:
@@ -203,11 +195,6 @@ class SignedPermutation:
         return SignedPermutation(perm, frozenset(flips))
 
 
-def apply(omega: SignedPermutation, w: Weight) -> Weight:
-    """Apply a Weyl group element to a weight."""
-    return omega.apply(w)
-
-
 def weyl_group(family: str, rank: int) -> Iterator[SignedPermutation]:
     """Yield every element of the hyperoctahedral group (family B: all sign
     patterns) or its even-sign-pattern subgroup (family D), exactly once."""
@@ -277,12 +264,17 @@ def is_g_dominant(family: str, n: int, lam: Weight) -> bool:
     return is_dominant(family, lam)
 
 
+def k_family(family: str) -> str:
+    """The type of the subgroup K's algebra: K is SO(2n) (type D) under
+    family B and SO(2n+1) (type B) under family D."""
+    return FAMILY_D if family == FAMILY_B else FAMILY_B
+
+
 def is_k_dominant(family: str, n: int, mu: Weight) -> bool:
     check_family_n(family, n)
     if mu.rank != n:
         raise DomainError(f"subgroup weight must have rank {n}, got {mu.rank}")
-    # K is SO(2n) (type D) under family B and SO(2n+1) (type B) under family D
-    return is_dominant(FAMILY_D if family == FAMILY_B else FAMILY_B, mu)
+    return is_dominant(k_family(family), mu)
 
 
 def _check_pair(family: str, lam: Weight, mu: Weight) -> int:
@@ -385,7 +377,6 @@ class RootData:
     n: int
     positive_roots_g: tuple[Weight, ...]
     positive_roots_k: tuple[Weight, ...]
-    positive_roots_h: tuple[Weight, ...]
     rho_g: Weight
     rho_k: Weight
     rho_h: Weight
@@ -398,17 +389,12 @@ class RootData:
         return self.rho_g.rank
 
     @property
-    def s_rank(self) -> int:
-        return self.n + 1
-
-    @property
     def g_algebra(self) -> tuple[str, int]:
         return (self.family, self.g_rank)
 
     @property
     def k_algebra(self) -> tuple[str, int]:
-        k_family = FAMILY_D if self.family == FAMILY_B else FAMILY_B
-        return (k_family, self.n)
+        return (k_family(self.family), self.n)
 
 
 @lru_cache(maxsize=None)
@@ -427,15 +413,14 @@ def make_root_data(family: str, n: int) -> RootData:
     if family == FAMILY_D:
         sigma = sigma + (-e(last),)
     grank = g_rank(family, n)
-    k_family = FAMILY_D if family == FAMILY_B else FAMILY_B
+    kfam = k_family(family)
     return RootData(
         family=family,
         n=n,
         positive_roots_g=algebra_positive_roots(family, grank),
-        positive_roots_k=algebra_positive_roots(k_family, n),
-        positive_roots_h=(e(last),),
+        positive_roots_k=algebra_positive_roots(kfam, n),
         rho_g=algebra_rho(family, grank),
-        rho_k=algebra_rho(k_family, n),
+        rho_k=algebra_rho(kfam, n),
         rho_h=Weight((0,) * n + (1,)),
         sigma=sigma,
         sigma_prime=sigma_prime,

@@ -132,14 +132,18 @@ def test_criterion_02_four_way_agreement_family_D(sweep_d1, sweep_d2):
     )
 
 
+def _assert_nonzero_implies_triple_interlacing(sweep: SweepData):
+    for record in sweep.records:
+        for (mu, k), row in record.rows.items():
+            if row["kostant-full"] > 0:
+                assert interlace(
+                    "triple", sweep.family, record.lam, w(mu)
+                ), (sweep.family, record.lam, mu, k)
+
+
 def test_criterion_03_vanishing_iff_triple_interlacing(sweep_b, sweep_d1, sweep_d2):
     for sweep in (sweep_b, sweep_d1, sweep_d2):
-        for record in sweep.records:
-            for (mu, k), row in record.rows.items():
-                if row["kostant-full"] > 0:
-                    assert interlace(
-                        "triple", sweep.family, record.lam, w(mu)
-                    ), (sweep.family, record.lam, mu, k)
+        _assert_nonzero_implies_triple_interlacing(sweep)
 
 
 def test_criterion_04_doubling_identity():

@@ -1,8 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from sobranch import cli
 from sobranch.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -64,12 +73,13 @@ def test_mult_csv_and_text(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["mu", "k", "method", "multiplicity"]
     assert rows[1] == ["0,0", "1", "oracle", "1"]
+    assert out == 'mu,k,method,multiplicity\r\n"0,0",1,oracle,1\r\n'
     code, out, _ = run(
         capsys,
         "mult", "--family", "B", "--n", "2", "--lam", "1,0,0", "--mu", "0,0",
         "--k", "1", "--methods", "oracle",
     )
-    assert code == 0 and "oracle" in out and "1" in out
+    assert code == 0 and out == "mu=0,0          k=1   oracle          1\n"
 
 
 def test_decompose_oracle(capsys):
@@ -112,30 +122,53 @@ def test_verify_agreement(capsys):
     report = json.loads(out)
     assert report["divergence"] is None
     assert report["points"] > 0
-
-
-def test_verify_corrupted_method_diverges(capsys):
     code, out, _ = run(
         capsys,
-        "verify", "--family", "D", "--n", "1", "--max", "1",
-        "--methods", "kostant-full,tsukamoto", "--corrupt", "tsukamoto",
-        "--format", "json",
+        "verify", "--family", "D", "--n", "1", "--max", "1", "--methods", "kostant-full,tsukamoto",
     )
+    assert code == 0
+    assert out == "OK family=D n=1 max=1: 28 grid points agree across kostant-full, tsukamoto\n"
+
+
+def inject_off_by_one(monkeypatch, method):
+    """Make one registry method answer one more than it should."""
+    route = cli.METHODS[method]
+    monkeypatch.setitem(cli.METHODS, method, lambda q, tables: route(q, tables) + 1)
+
+
+def test_verify_corrupted_method_diverges(capsys, monkeypatch):
+    inject_off_by_one(monkeypatch, "tsukamoto")
+    argv = ("verify", "--family", "D", "--n", "1", "--max", "1",
+            "--methods", "kostant-full,tsukamoto")
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     report = json.loads(out)
     divergence = report["divergence"]
     assert divergence is not None
     assert "lambda" in divergence and "mu" in divergence and "k" in divergence
     assert divergence["values"]["tsukamoto"] != divergence["values"]["kostant-full"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == "DIVERGENCE family=D n=1 lambda=[1, 1, 1] mu=[1] k=0: kostant-full=0, tsukamoto=1\n"
 
 
-def test_mult_divergence_exits_1(capsys):
+def test_mult_divergence_exits_1(capsys, monkeypatch):
+    inject_off_by_one(monkeypatch, "oracle")
     code, _, _ = run(
         capsys,
         "mult", "--family", "B", "--n", "2", "--lam", "1,0,0", "--mu", "0,0",
-        "--k", "1", "--methods", "kostant-full,oracle", "--corrupt", "oracle",
+        "--k", "1", "--methods", "kostant-full,oracle",
     )
     assert code == 1
+
+
+def test_u3so3_divergence_exits_1(capsys, monkeypatch):
+    closed = cli.u3_to_so3_closed
+    monkeypatch.setattr(cli, "u3_to_so3_closed", lambda lam_prime, k: closed(lam_prime, k) + 1)
+    code, out, _ = run(capsys, "u3so3", "--lam", "2,0,0", "--k", "2", "--format", "json")
+    assert code == 1
+    values = {r["method"]: r["multiplicity"] for r in json.loads(out)["results"]}
+    assert values == {"closed-form": 2, "oracle": 1}
 
 
 def test_u3so3(capsys):
@@ -144,6 +177,8 @@ def test_u3so3(capsys):
     report = json.loads(out)
     values = {r["method"]: r["multiplicity"] for r in report["results"]}
     assert values == {"closed-form": 1, "oracle": 1}
+    code, out, _ = run(capsys, "u3so3", "--lam", "2,0,0", "--k", "2")
+    assert code == 0 and out == "k=2   closed-form   1\nk=2   oracle        1\n"
     code, out, _ = run(capsys, "u3so3", "--lam", "2,1,0")
     assert code == 0
     assert "closed-form" in out and "oracle" in out
@@ -175,3 +210,54 @@ def test_cache_env_var(monkeypatch, capsys):
                    "--mu", "0,0", "--k", "1", "--methods", "kostant-full")[0] == 2
     finally:
         shared_cache().set_max_entries(old_limit)
+
+
+MULT = ("mult", "--family", "B", "--n", "2", "--lam", "1,0,0", "--mu", "0,0", "--k", "1")
+DECOMPOSE = ("decompose", "--family", "B", "--n", "2", "--lam", "1,0,0")
+VERIFY = ("verify", "--family", "B", "--n", "2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        MULT[:-1],
+        MULT + ("--methods", "oracle,sorcery"),
+        MULT + ("--methods", ""),
+        ("mult", "--family", "B", "--n", "2", "--lam", "1,x,0", "--mu", "0,0", "--k", "1"),
+        ("mult", "--family", "B", "--n", "2", "--lam", "1,0", "--mu", "0,0", "--k", "1"),
+        ("mult", "--family", "B", "--n", "2", "--lam", "1,0,0", "--mu", "0,0", "--k", "-1"),
+        ("mult", "--family", "B", "--n", "1", "--lam", "1,0", "--mu", "0", "--k", "0"),
+        DECOMPOSE + ("--methods", "all"),
+        DECOMPOSE + ("--methods", "oracle,closed-form"),
+        DECOMPOSE + ("--format", "yaml"),
+        ("decompose", "--family", "D", "--n", "0", "--lam", "1,0"),
+        ("decompose", "--family", "B", "--n", "2", "--lam", "0,1,0", "--methods", "closed-form"),
+        VERIFY + ("--max", "-1"),
+        VERIFY + ("--max", "1", "--methods", "kostant-full,sorcery"),
+        ("verify", "--family", "B", "--n", "1", "--max", "1"),
+        ("u3so3", "--lam", "1,0,0,0"),
+        ("u3so3", "--lam", "0,1,0"),
+        ("u3so3", "--lam", "1,0,0", "--k", "-1"),
+        ("u3so3", "--lam", "1,0,0", "--corrupt", "closed-form"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_argv_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_bad_cache_env_var_is_a_usage_error(value):
+    env = dict(os.environ, SOBRANCH_CACHE_ENTRIES=value)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sobranch.cli", *MULT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "SOBRANCH_CACHE_ENTRIES" in proc.stderr

@@ -2,54 +2,24 @@
 triple-interlacing inequalities and the longer coincidence patterns are all
 non-vacuous for the first time."""
 
-from sobranch.clebsch_gordan import closed_form_B, closed_form_D
-from sobranch.errors import CoincidencePatternError
-from sobranch.kostant import (
-    BranchingQuery,
-    multiplicity_kostant_full,
-    multiplicity_kostant_reduced,
+from test_acceptance import (
+    _assert_four_way_agreement,
+    _assert_nonzero_implies_triple_interlacing,
+    _ending_row_checks,
+    run_sweep,
 )
-from sobranch.oracle import branch_oracle
-from sobranch.tsukamoto import extract_multiplicities, tsukamoto_generating_function
-from sobranch.u3_so3 import ending_B, ending_D
-from sobranch.weights import g_rank, interlace, iter_dominant_weights
 
 
-def run_sweep(family, n, bound):
-    k_family = "D" if family == "B" else "B"
-    ending = ending_B if family == "B" else ending_D
-    closed = closed_form_B if family == "B" else closed_form_D
-    ending_rows = 0
-    for lam in iter_dominant_weights(family, g_rank(family, n), bound):
-        table = branch_oracle(family, n, lam)
-        k_top = sum(abs(c) for c in lam.to_ints())
-        for mu in iter_dominant_weights(k_family, n, bound):
-            series = extract_multiplicities(
-                tsukamoto_generating_function(family, lam, mu)
-            )
-            simple = interlace("simple", family, lam, mu)
-            form = closed(lam, mu) if simple else None
-            try:
-                block = ending(lam, mu)
-                row = {k: m for (mt, k), m in table.items() if mt == mu.to_ints()}
-                assert block.as_dict() == row, (family, lam, mu)
-                ending_rows += 1
-            except CoincidencePatternError:
-                pass
-            for k in range(k_top + 1):
-                q = BranchingQuery(family, n, lam, mu, k)
-                full = multiplicity_kostant_full(q)
-                assert full == series.get(k, 0) == table.get(mu, k), (lam, mu, k)
-                if simple:
-                    assert full == multiplicity_kostant_reduced(q) == form.mult(k)
-                if full > 0:
-                    assert interlace("triple", family, lam, mu)
-    assert ending_rows > 0
+def check_sweep(family, n, bound):
+    sweep = run_sweep(family, n, bound)
+    _assert_four_way_agreement(sweep)
+    _assert_nonzero_implies_triple_interlacing(sweep)
+    assert _ending_row_checks(sweep) > 0
 
 
 def test_family_B_at_n3():
-    run_sweep("B", 3, 2)
+    check_sweep("B", 3, 2)
 
 
 def test_family_D_at_n3():
-    run_sweep("D", 3, 1)
+    check_sweep("D", 3, 1)

@@ -6,7 +6,6 @@ from sobranch.errors import DomainError
 from sobranch.weights import (
     SignedPermutation,
     Weight,
-    apply,
     interlace,
     is_dominant,
     iter_dominant_weights,
@@ -87,7 +86,7 @@ def test_apply_examples():
     assert s3.apply(rho) == Weight((5, 3, -1))
     assert SignedPermutation.identity(3).apply(rho) == rho
     p23 = SignedPermutation.transposition(3, 1, 2)
-    assert apply(p23, w([7, 8, 9])) == w([7, 9, 8])
+    assert p23.apply(w([7, 8, 9])) == w([7, 9, 8])
     with pytest.raises(DomainError):
         s3.apply(w([1, 2]))
 
