@@ -169,6 +169,8 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     check_family_n(args.family, args.n)
     if args.max < 0:
         raise DomainError(f"--max must be non-negative, got {args.max}")
+    if len(set(args.methods)) < 2:
+        raise DomainError("verify needs at least two distinct methods to cross-check")
     tables: dict = {}
     report = {"family": args.family, "n": args.n, "max": args.max,
               "methods": list(args.methods), "points": 0, "divergence": None}
@@ -245,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--family", choices=("B", "D"), required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--max", type=int, required=True, help="bound on the first coordinate of lambda")
-    p_ver.add_argument("--methods", type=_methods, default="kostant-full,tsukamoto,oracle")
-    p_ver.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p_ver.add_argument("--methods", type=_methods, default="kostant-full,tsukamoto,oracle",
+                       help="two or more distinct methods, or all")
+    p_ver.add_argument("--format", choices=("json", "text"), default="text")
     p_ver.set_defaults(run=_cmd_verify)
 
     p_u3 = sub.add_parser("u3so3", help="U(3) to SO(3) branching, closed vs oracle")

@@ -5,8 +5,15 @@ ways to write a target as a sum of generators with non-negative integer
 multiplicities (duplicate generators count as distinct).  It is a plain
 recursion over the generator list memoized on (generator index, residual
 target); termination is guaranteed by pruning against an integer linear
-functional that is strictly positive on every generator, which exists
+functional phi that is strictly positive on every generator, which exists
 exactly when the generators span a pointed cone.
+
+``partition_function`` binds a generator multiset once: it validates the
+generators, sorts them, finds phi and the per-generator steps phi . g, and
+names the multiset's memo entries by a small integer.  The recursion
+carries phi . target down and subtracts phi . g per generator taken instead
+of recomputing the dot product at every node.  ``count_vector_partitions``
+validates its target and counts with such a binding, given or looked up.
 
 ``count_sigma_prime`` is an independent specialized routine for the paired
 generator family e_i +- e_last: a balance-tracking dynamic program over the
@@ -15,6 +22,7 @@ first n coordinates.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import defaultdict
 from functools import lru_cache
@@ -27,6 +35,9 @@ from .weights import Weight
 DEFAULT_CACHE_ENTRIES = 4_000_000
 
 _PERCEPTRON_ROUNDS = 100_000
+
+#: bound partition functions kept, one per generator multiset in use
+_BOUND_FUNCTIONS = 16
 
 
 class PartitionCache:
@@ -79,7 +90,6 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@lru_cache(maxsize=None)
 def _positive_functional(gens2: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """An integer functional strictly positive on every generator, found by
     a perceptron iteration; fails iff the cone is not pointed."""
@@ -99,52 +109,110 @@ def _positive_functional(gens2: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     )
 
 
-def _count(gens2, phi, cache, index: int, t2: tuple[int, ...]) -> int:
-    if _dot(phi, t2) < 0:
-        return 0
-    if index == len(gens2):
-        return 1 if not any(t2) else 0
-    key = (gens2, index, t2)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    g = gens2[index]
-    total = 0
-    cur = t2
-    while _dot(phi, cur) >= 0:
-        total += _count(gens2, phi, cache, index + 1, cur)
-        cur = tuple(a - b for a, b in zip(cur, g))
-    cache.put(key, total)
-    return total
+# Cache-key namespaces: one small integer per bound generator multiset, so a
+# memo key hashes an int instead of the whole generator tuple.
+_namespaces = itertools.count()
+
+
+class PartitionFunction:
+    """The partition function of one generator multiset, bound once.
+
+    Holds the sorted doubled-integer generators, the positive functional
+    ``phi`` and the per-generator steps ``phi . g``, so a count does none of
+    that work again.  Build one with ``partition_function``.
+    """
+
+    __slots__ = ("gens2", "phi", "steps", "rank", "_ns")
+
+    def __init__(self, gens2: tuple[tuple[int, ...], ...]):
+        self.gens2 = gens2
+        self.phi = _positive_functional(gens2)
+        self.steps = tuple(_dot(self.phi, g) for g in gens2)
+        self.rank = len(gens2[0])
+        self._ns = next(_namespaces)
+
+    def level(self, t2: Sequence[int]) -> int:
+        """The positive functional at a doubled-integer vector; a target
+        below level 0 has no partition."""
+        return _dot(self.phi, t2)
+
+    def count(self, t2: tuple[int, ...], cache: PartitionCache | None = None) -> int:
+        """Partition count of the integral doubled-integer target ``t2``."""
+        level = _dot(self.phi, t2)
+        if level < 0:
+            return 0
+        return self._count(_shared_cache if cache is None else cache, 0, t2, level)
+
+    def _count(self, cache: PartitionCache, index: int, t2: tuple[int, ...], level: int) -> int:
+        # level is phi . t2 >= 0; it drops by steps[index] per generator taken
+        gens2 = self.gens2
+        if index == len(gens2):
+            return 0 if any(t2) else 1
+        key = (self._ns, index, t2)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        g = gens2[index]
+        step = self.steps[index]
+        total = 0
+        while level >= 0:
+            total += self._count(cache, index + 1, t2, level)
+            t2 = tuple(a - b for a, b in zip(t2, g))
+            level -= step
+        cache.put(key, total)
+        return total
+
+
+@lru_cache(maxsize=_BOUND_FUNCTIONS)
+def _bind(gens2: tuple[tuple[int, ...], ...]) -> PartitionFunction:
+    return PartitionFunction(gens2)
+
+
+def partition_function(generators: Iterable[Weight]) -> PartitionFunction:
+    """The bound partition function of a non-empty generator multiset of one
+    rank; zero generators and cones that are not pointed raise DomainError.
+    Equal multisets share one binding while it stays in a small LRU."""
+    gens = tuple(generators)
+    if not gens:
+        raise DomainError("an empty generator set has no partition function to bind")
+    if any(g.rank != gens[0].rank for g in gens):
+        raise DomainError("generators of different ranks")
+    if any(not any(g.coords2) for g in gens):
+        raise DomainError("zero generator admits infinitely many partitions")
+    return _bind(tuple(sorted(g.coords2 for g in gens)))
 
 
 def count_vector_partitions(
-    generators: Iterable[Weight], target: Weight, *, cache: PartitionCache | None = None
+    generators: Iterable[Weight] | PartitionFunction,
+    target: Weight,
+    *,
+    cache: PartitionCache | None = None,
 ) -> int:
     """Number of ways to write ``target`` as a non-negative integer
-    combination of ``generators`` (a multiset: duplicates are distinct).
+    combination of ``generators`` (a multiset: duplicates are distinct), or
+    of the multiset a ``PartitionFunction`` is bound to.
 
     Targets with non-integral coordinates give 0.  Rank mismatches and
     generator multisets without a finite count (zero generators, cones that
     are not pointed) raise DomainError.
     """
-    gens = tuple(generators)
-    for g in gens:
-        if g.rank != target.rank:
+    if isinstance(generators, PartitionFunction):
+        ranks = [generators.rank]
+    else:
+        generators = tuple(generators)
+        ranks = [g.rank for g in generators]
+    for rank in ranks:
+        if rank != target.rank:
             raise DomainError(
-                f"generator rank {g.rank} does not match target rank {target.rank}"
+                f"generator rank {rank} does not match target rank {target.rank}"
             )
     if not target.is_integral:
         return 0
-    if not gens:
+    if not generators:
         return 1 if not any(target.coords2) else 0
-    if any(not any(g.coords2) for g in gens):
-        raise DomainError("zero generator admits infinitely many partitions")
-    gens2 = tuple(sorted(g.coords2 for g in gens))
-    phi = _positive_functional(gens2)
-    if cache is None:
-        cache = _shared_cache
-    return _count(gens2, phi, cache, 0, target.coords2)
+    if not isinstance(generators, PartitionFunction):
+        generators = partition_function(generators)
+    return generators.count(target.coords2, cache)
 
 
 def count_sigma_prime(n: int, target: Weight) -> int:

@@ -234,6 +234,9 @@ VERIFY = ("verify", "--family", "B", "--n", "2")
         ("decompose", "--family", "B", "--n", "2", "--lam", "0,1,0", "--methods", "closed-form"),
         VERIFY + ("--max", "-1"),
         VERIFY + ("--max", "1", "--methods", "kostant-full,sorcery"),
+        VERIFY + ("--max", "1", "--format", "csv"),
+        VERIFY + ("--max", "1", "--methods", "tsukamoto"),
+        VERIFY + ("--max", "1", "--methods", "tsukamoto,tsukamoto"),
         ("verify", "--family", "B", "--n", "1", "--max", "1"),
         ("u3so3", "--lam", "1,0,0,0"),
         ("u3so3", "--lam", "0,1,0"),

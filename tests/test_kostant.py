@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from sobranch import kostant, partition
 from sobranch.clebsch_gordan import closed_form_B
 from sobranch.errors import DomainError, InterlacingError
 from sobranch.kostant import (
@@ -8,12 +11,18 @@ from sobranch.kostant import (
     multiplicity_kostant_full,
     multiplicity_kostant_reduced,
 )
+from sobranch.partition import count_vector_partitions, shared_cache
 from sobranch.weights import (
     SignedPermutation,
     Weight,
+    g_rank,
     interlace,
     iter_dominant_weights,
+    k_family,
+    make_root_data,
+    restrict,
     tilde,
+    weyl_elements,
 )
 
 w = Weight.of_ints
@@ -122,3 +131,52 @@ def test_vanishing_outside_triple_interlacing():
                 continue
             for k in range(sum(lam.to_ints()) + 1):
                 assert multiplicity_kostant_full(BranchingQuery("B", 2, lam, mu, k)) == 0
+
+
+def reference_terms(q):
+    """Kostant's alternating sum term by term, from its definition: one
+    partition count per Weyl group element, nothing cached or skipped."""
+    rd = make_root_data(q.family, q.n)
+    lam_rho = q.lam + rd.rho_g
+    mu_ext = Weight(q.mu.coords2 + (2 * q.k,))
+    for omega in weyl_elements(q.family, rd.g_rank):
+        target = restrict(q.family, omega.apply(lam_rho) - rd.rho_g) - mu_ext
+        value = count_vector_partitions(rd.sigma, target)
+        if value:
+            yield omega, omega.sign, value
+
+
+def grid_queries(family, n, bound):
+    mus = list(iter_dominant_weights(k_family(family), n, bound))
+    for lam in iter_dominant_weights(family, g_rank(family, n), bound):
+        for mu in mus:
+            for k in range(sum(abs(c) for c in lam.to_ints()) + 1):
+                yield BranchingQuery(family, n, lam, mu, k)
+
+
+@pytest.mark.parametrize("family, n, bound", [("B", 2, 3), ("B", 3, 1), ("D", 1, 3), ("D", 3, 1)])
+def test_sorted_orbit_walk_matches_plain_weyl_sum(family, n, bound):
+    negative_last = 0
+    for q in grid_queries(family, n, bound):
+        negative_last += q.lam.coords2[-1] < 0
+        assert Counter(kostant_terms(q)) == Counter(reference_terms(q)), q
+    assert (negative_last > 0) == (family == "D")
+
+
+def test_orbit_and_binding_caches_are_bounded():
+    assert kostant._orbit.cache_info().maxsize is not None
+    assert partition._bind.cache_info().maxsize is not None
+
+
+def test_full_sum_unchanged_under_a_tiny_shared_cache():
+    queries = list(grid_queries("B", 2, 2)) + list(grid_queries("D", 1, 2))
+    expected = [multiplicity_kostant_full(q) for q in queries]
+    cache = shared_cache()
+    old_limit = cache.max_entries
+    try:
+        cache.set_max_entries(3)
+        assert [multiplicity_kostant_full(q) for q in queries] == expected
+        assert len(cache) <= 3
+    finally:
+        cache.set_max_entries(old_limit)
+    assert cache.max_entries == old_limit

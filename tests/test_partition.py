@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sobranch.errors import DomainError
-from sobranch.partition import PartitionCache, count_sigma_prime, count_vector_partitions
+from sobranch.partition import (
+    PartitionCache,
+    count_sigma_prime,
+    count_vector_partitions,
+    partition_function,
+)
 from sobranch.weights import Weight, make_root_data
 
 w = Weight.of_ints
@@ -177,3 +182,18 @@ def test_duplicate_generators_are_distinct():
     gen = w([1, 0])
     assert count_vector_partitions([gen, gen], w([2, 0])) == 3
     assert count_vector_partitions([gen], w([2, 0])) == 1
+
+
+def test_bound_partition_function_counts_like_the_generator_list():
+    rd = make_root_data("D", 2)
+    bound = partition_function(rd.sigma)
+    assert partition_function(reversed(rd.sigma)) is bound  # one binding per multiset
+    for coords in itertools.product(range(-2, 3), repeat=3):
+        target = w(coords)
+        assert count_vector_partitions(bound, target) == count_vector_partitions(rd.sigma, target)
+    assert count_vector_partitions(bound, Weight((1, 0, 0))) == 0  # half-integral
+    with pytest.raises(DomainError):
+        count_vector_partitions(bound, w([1, 0]))
+    for gens in ([], [w([1, 0]), w([1])], [w([1, 0]), w([0, 0])], [w([1, 0]), w([-1, 0])]):
+        with pytest.raises(DomainError):
+            partition_function(gens)
