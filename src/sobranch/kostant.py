@@ -36,11 +36,8 @@ from .weights import (
     FAMILY_D,
     SignedPermutation,
     Weight,
-    check_family_n,
-    g_rank,
+    check_pair,
     interlace,
-    is_g_dominant,
-    is_k_dominant,
     make_root_data,
     restrict,
     tilde,
@@ -62,19 +59,7 @@ class BranchingQuery:
     k: int
 
     def __post_init__(self) -> None:
-        check_family_n(self.family, self.n)
-        if self.mu.rank != self.n:
-            raise DomainError(f"mu must have rank {self.n}, got {self.mu.rank}")
-        if self.lam.rank != g_rank(self.family, self.n):
-            raise DomainError(
-                f"lam must have rank {g_rank(self.family, self.n)}, got {self.lam.rank}"
-            )
-        if not self.lam.is_integral or not self.mu.is_integral:
-            raise DomainError("highest weights must have integral coordinates")
-        if not is_g_dominant(self.family, self.n, self.lam):
-            raise DomainError(f"lam={self.lam} is not dominant (family {self.family})")
-        if not is_k_dominant(self.family, self.n, self.mu):
-            raise DomainError(f"mu={self.mu} is not dominant (family {self.family})")
+        check_pair(self.family, self.n, self.lam, self.mu)
         if self.k < 0:
             raise DomainError("k must be non-negative")
 
@@ -137,7 +122,10 @@ def kostant_terms(q: BranchingQuery) -> Iterator[tuple[SignedPermutation, int, i
 
 
 def multiplicity_kostant_full(q: BranchingQuery) -> int:
-    """The full alternating Weyl sum, evaluated exactly with no pruning."""
+    """Kostant's full alternating Weyl sum, evaluated exactly, with no
+    pruning beyond the partition function's own zero test: a term whose
+    target has negative positive functional is 0, so the walk down lam's
+    orbit, sorted by that functional, stops at the first such term."""
     total = sum(sign * value for _, sign, value in kostant_terms(q))
     if total < 0:
         raise InternalInconsistencyError(

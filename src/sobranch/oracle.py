@@ -20,10 +20,8 @@ from .weights import (
     algebra_positive_roots,
     algebra_rho,
     check_family,
-    check_family_n,
     g_rank,
     is_dominant,
-    is_g_dominant,
     iter_dominant_weights,
     k_family,
     restrict,
@@ -68,9 +66,7 @@ class CharacterMap:
         return sum(self._data.values())
 
     def transformed(self, omega: SignedPermutation) -> "CharacterMap":
-        return CharacterMap(
-            {_apply2(omega.perm, omega.flips, k): v for k, v in self._data.items()}
-        )
+        return CharacterMap({omega.apply2(k): v for k, v in self._data.items()})
 
     def __mul__(self, other: "CharacterMap") -> "CharacterMap":
         out: dict[tuple[int, ...], int] = {}
@@ -126,14 +122,6 @@ class MultiplicityTable:
     def __repr__(self) -> str:
         inner = ", ".join(f"({mu}, {k}): {m}" for (mu, k), m in self.items())
         return "{" + inner + "}"
-
-
-def _apply2(perm, flips, t2: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(t2)
-    for i, c in enumerate(t2):
-        j = perm[i]
-        out[j] = -c if j in flips else c
-    return tuple(out)
 
 
 def _ip2(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -231,7 +219,7 @@ def _char_items(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tuple[tu
     for eta2, m in _dominant_mults(family, rank, lam2):
         seen = set()
         for w in elements:
-            img = _apply2(w.perm, w.flips, eta2)
+            img = w.apply2(eta2)
             if img not in seen:
                 seen.add(img)
                 out[img] = m
@@ -279,7 +267,7 @@ def xi(algebra: Algebra, eta: Weight) -> CharacterMap:
         raise DomainError(f"weight rank {eta.rank} does not match algebra rank {rank}")
     out: dict[tuple[int, ...], int] = {}
     for w in weyl_elements(family, rank):
-        key = _apply2(w.perm, w.flips, eta.coords2)
+        key = w.apply2(eta.coords2)
         out[key] = out.get(key, 0) + w.sign
     return CharacterMap(out)
 
@@ -292,12 +280,7 @@ def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:
     Purely character-theoretic; shares nothing with the partition-function
     or generating-function routes.
     """
-    check_family_n(family, n)
-    if not is_g_dominant(family, n, lam):
-        raise DomainError(f"lam={lam} is not dominant (family {family}, n={n})")
-    if not lam.is_integral:
-        raise DomainError(f"lam={lam} is not integral")
-    galg = (family, g_rank(family, n))
+    galg = _require_dominant_integral((family, g_rank(family, n)), lam)
     kalg = (k_family(family), n)
     kfam, _ = kalg
 

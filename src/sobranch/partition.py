@@ -63,10 +63,6 @@ class PartitionCache:
                 self._data.clear()
             self._data[key] = value
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
     def set_max_entries(self, max_entries: int) -> None:
         with self._lock:
             self.max_entries = max(1, int(max_entries))
@@ -136,30 +132,30 @@ class PartitionFunction:
         below level 0 has no partition."""
         return _dot(self.phi, t2)
 
-    def count(self, t2: tuple[int, ...], cache: PartitionCache | None = None) -> int:
+    def count(self, t2: tuple[int, ...]) -> int:
         """Partition count of the integral doubled-integer target ``t2``."""
         level = _dot(self.phi, t2)
         if level < 0:
             return 0
-        return self._count(_shared_cache if cache is None else cache, 0, t2, level)
+        return self._count(0, t2, level)
 
-    def _count(self, cache: PartitionCache, index: int, t2: tuple[int, ...], level: int) -> int:
+    def _count(self, index: int, t2: tuple[int, ...], level: int) -> int:
         # level is phi . t2 >= 0; it drops by steps[index] per generator taken
         gens2 = self.gens2
         if index == len(gens2):
             return 0 if any(t2) else 1
         key = (self._ns, index, t2)
-        hit = cache.get(key)
+        hit = _shared_cache.get(key)
         if hit is not None:
             return hit
         g = gens2[index]
         step = self.steps[index]
         total = 0
         while level >= 0:
-            total += self._count(cache, index + 1, t2, level)
+            total += self._count(index + 1, t2, level)
             t2 = tuple(a - b for a, b in zip(t2, g))
             level -= step
-        cache.put(key, total)
+        _shared_cache.put(key, total)
         return total
 
 
@@ -183,10 +179,7 @@ def partition_function(generators: Iterable[Weight]) -> PartitionFunction:
 
 
 def count_vector_partitions(
-    generators: Iterable[Weight] | PartitionFunction,
-    target: Weight,
-    *,
-    cache: PartitionCache | None = None,
+    generators: Iterable[Weight] | PartitionFunction, target: Weight
 ) -> int:
     """Number of ways to write ``target`` as a non-negative integer
     combination of ``generators`` (a multiset: duplicates are distinct), or
@@ -212,7 +205,7 @@ def count_vector_partitions(
         return 1 if not any(target.coords2) else 0
     if not isinstance(generators, PartitionFunction):
         generators = partition_function(generators)
-    return generators.count(target.coords2, cache)
+    return generators.count(target.coords2)
 
 
 def count_sigma_prime(n: int, target: Weight) -> int:

@@ -15,15 +15,7 @@ from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
 from .kostant import BranchingQuery
-from .weights import (
-    FAMILY_B,
-    FAMILY_D,
-    Weight,
-    check_family,
-    interlace,
-    is_g_dominant,
-    is_k_dominant,
-)
+from .weights import FAMILY_B, FAMILY_D, Weight, check_family, interlace
 
 
 class LaurentPoly:
@@ -202,12 +194,8 @@ def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...
 def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> LaurentPoly:
     """Sum over admissible tuples of prod_i [l_i] times the final two-term
     factor.  Returns the zero polynomial when triple interlacing fails, in
-    which case no SO(3) component occurs at all."""
-    n = mu.rank
-    if not is_g_dominant(family, n, lam):
-        raise DomainError(f"lam={lam} is not dominant (family {family})")
-    if not is_k_dominant(family, n, mu):
-        raise DomainError(f"mu={mu} is not dominant (family {family})")
+    which case no SO(3) component occurs at all; ``interlace`` rejects an
+    invalid pair with DomainError."""
     if not interlace("triple", family, lam, mu):
         return LaurentPoly.zero()
     total = LaurentPoly.zero()

@@ -17,7 +17,7 @@ from .errors import (
     DomainError,
     InternalInconsistencyError,
 )
-from .weights import FAMILY_B, FAMILY_D, Weight, is_g_dominant, is_k_dominant
+from .weights import FAMILY_B, FAMILY_D, Weight, check_pair
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,10 +149,7 @@ def ending_B(lam: Weight, mu: Weight) -> So3MultiSet:
     U(3) restriction for (lam_1, lam_2, lam_3) tensored with the consecutive
     block tau_{|mu_n|} + ... + tau_{mu_{n-1}}."""
     n = mu.rank
-    if not is_g_dominant(FAMILY_B, n, lam):
-        raise DomainError(f"lam={lam} is not dominant (family B)")
-    if not is_k_dominant(FAMILY_B, n, mu):
-        raise DomainError(f"mu={mu} is not dominant (family B)")
+    check_pair(FAMILY_B, n, lam, mu)
     l = lam.to_ints()
     m = mu.to_ints()
     coincide = all(l[i + 2] == m[i - 1] for i in range(1, n - 1))
@@ -169,10 +166,7 @@ def ending_D(lam: Weight, mu: Weight) -> So3MultiSet:
     |lam_{i+3}| = mu_i for i <= n-1 and mu_n <= |lam_{n+2}|.  Equals the
     U(3) restriction for (lam_1, lam_2, |lam_3|) tensored with tau_{mu_n}."""
     n = mu.rank
-    if not is_g_dominant(FAMILY_D, n, lam):
-        raise DomainError(f"lam={lam} is not dominant (family D)")
-    if not is_k_dominant(FAMILY_D, n, mu):
-        raise DomainError(f"mu={mu} is not dominant (family D)")
+    check_pair(FAMILY_D, n, lam, mu)
     l = lam.to_ints()
     m = mu.to_ints()
     coincide = all(abs(l[i + 2]) == m[i - 1] for i in range(1, n))

@@ -18,6 +18,10 @@ D (n >= 1)  SO(2n+4), D_n+2  SO(2n+1), B_n    rank n+1 (drops one slot)
 
 In restricted (rank n+1) coordinates the last slot always carries the
 SO(3) torus coordinate.
+
+``check_pair`` is the package's one definition of a valid branching pair
+(family, n, lam, mu); every entry point that takes a pair calls it, directly
+or through ``interlace``.
 """
 
 from __future__ import annotations
@@ -129,6 +133,14 @@ class Weight:
         return "(" + ", ".join(parts) + ")"
 
 
+@lru_cache(maxsize=None)
+def _inversion_parity(perm: tuple[int, ...]) -> int:
+    """(-1) ** (number of inversions of perm), memoised: a rank-r Weyl
+    group repeats each of its r! permutations over all its sign patterns."""
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+    return -1 if inv % 2 else 1
+
+
 @dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """A Weyl group element: permute the coordinates, then negate the
@@ -169,22 +181,21 @@ class SignedPermutation:
     @property
     def sign(self) -> int:
         """Determinant of the signed permutation matrix."""
-        inv = 0
-        p = self.perm
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    inv += 1
-        return (-1) ** (inv + len(self.flips))
+        parity = _inversion_parity(self.perm)
+        return -parity if len(self.flips) % 2 else parity
+
+    def apply2(self, t2: tuple[int, ...]) -> tuple[int, ...]:
+        """The action on a doubled-integer coordinate tuple of this rank."""
+        out = [0] * len(t2)
+        for i, c in enumerate(t2):
+            j = self.perm[i]
+            out[j] = -c if j in self.flips else c
+        return tuple(out)
 
     def apply(self, w: Weight) -> Weight:
         if w.rank != self.rank:
             raise DomainError(f"rank mismatch: element has rank {self.rank}, weight {w.rank}")
-        out = [0] * self.rank
-        for i, c in enumerate(w.coords2):
-            j = self.perm[i]
-            out[j] = -c if j in self.flips else c
-        return Weight(tuple(out))
+        return Weight(self.apply2(w.coords2))
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other, i.e. (self.compose(other)).apply == self.apply(other.apply(.))."""
@@ -258,32 +269,28 @@ def g_rank(family: str, n: int) -> int:
     return n + 1 if family == FAMILY_B else n + 2
 
 
-def is_g_dominant(family: str, n: int, lam: Weight) -> bool:
-    if lam.rank != g_rank(family, n):
-        raise DomainError(f"family {family}, n={n} needs rank {g_rank(family, n)}, got {lam.rank}")
-    return is_dominant(family, lam)
-
-
 def k_family(family: str) -> str:
     """The type of the subgroup K's algebra: K is SO(2n) (type D) under
     family B and SO(2n+1) (type B) under family D."""
     return FAMILY_D if family == FAMILY_B else FAMILY_B
 
 
-def is_k_dominant(family: str, n: int, mu: Weight) -> bool:
-    check_family_n(family, n)
+def check_pair(family: str, n: int, lam: Weight, mu: Weight) -> None:
+    """The one test of a branching pair: family B or D with n at least the
+    family's minimum, lam an integral dominant weight of the ambient G
+    (rank ``g_rank``) and mu one of the subgroup K (rank n).  Raises
+    DomainError naming the first condition that fails."""
+    lam_rank = g_rank(family, n)
     if mu.rank != n:
-        raise DomainError(f"subgroup weight must have rank {n}, got {mu.rank}")
-    return is_dominant(k_family(family), mu)
-
-
-def _check_pair(family: str, lam: Weight, mu: Weight) -> int:
-    n = mu.rank
-    if not is_g_dominant(family, n, lam):
-        raise DomainError(f"{lam} is not dominant for the ambient group (family {family}, n={n})")
-    if not is_k_dominant(family, n, mu):
-        raise DomainError(f"{mu} is not dominant for the subgroup (family {family}, n={n})")
-    return n
+        raise DomainError(f"mu must have rank {n}, got {mu.rank}")
+    if lam.rank != lam_rank:
+        raise DomainError(f"lam must have rank {lam_rank}, got {lam.rank}")
+    if not lam.is_integral or not mu.is_integral:
+        raise DomainError("highest weights must have integral coordinates")
+    if not is_dominant(family, lam):
+        raise DomainError(f"lam={lam} is not dominant (family {family})")
+    if not is_dominant(k_family(family), mu):
+        raise DomainError(f"mu={mu} is not dominant (family {family})")
 
 
 def interlace(kind: str, family: str, lam: Weight, mu: Weight) -> bool:
@@ -297,10 +304,14 @@ def interlace(kind: str, family: str, lam: Weight, mu: Weight) -> bool:
     read as 0) together with lam_n >= |mu_n|; family D requires
     lam_i >= mu_i >= lam_{i+3} for i <= n-2, lam_{n-1} >= mu_{n-1} >=
     |lam_{n+2}| when n >= 2, and lam_n >= mu_n.
+
+    n is the rank of mu, and a pair that fails ``check_pair`` raises
+    DomainError.
     """
     if kind not in ("simple", "triple"):
         raise DomainError(f"unknown interlacing kind {kind!r}")
-    n = _check_pair(family, lam, mu)
+    n = mu.rank
+    check_pair(family, n, lam, mu)
     l2 = lam.coords2
     m2 = mu.coords2
     if kind == "simple":

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from sobranch.errors import DomainError
 from sobranch.partition import (
-    PartitionCache,
+    PartitionFunction,
     count_sigma_prime,
     count_vector_partitions,
     partition_function,
+    shared_cache,
 )
 from sobranch.weights import Weight, make_root_data
 
@@ -144,37 +145,52 @@ def test_staircase_recursion_small():
             ) + tail
 
 
+def _cold_binding(generators):
+    """A new binding of the multiset: its memo namespace is new, so it
+    counts from a cold cache."""
+    return PartitionFunction(partition_function(generators).gens2)
+
+
 def test_cache_is_bounded_and_evicts_wholesale():
-    cache = PartitionCache(max_entries=8)
+    cache = shared_cache()
+    old_limit = cache.max_entries
     rd = make_root_data("B", 2)
-    for coords in itertools.product(range(3), repeat=3):
-        count_vector_partitions(rd.sigma, w(coords), cache=cache)
-    assert len(cache) <= 8
-    # results are identical with and without a warm cache
-    fresh = PartitionCache(max_entries=10_000)
-    for coords in itertools.product(range(3), repeat=3):
-        assert count_vector_partitions(
-            rd.sigma, w(coords), cache=cache
-        ) == count_vector_partitions(rd.sigma, w(coords), cache=fresh)
+    targets = [w(coords) for coords in itertools.product(range(3), repeat=3)]
+    try:
+        cache.set_max_entries(8)
+        for t in targets:
+            count_vector_partitions(rd.sigma, t)
+        assert len(cache) <= 8
+        # results are identical with a warm small cache and a cold large one
+        warm = [count_vector_partitions(rd.sigma, t) for t in targets]
+        cache.set_max_entries(10_000)
+        cold = _cold_binding(rd.sigma)
+        assert warm == [count_vector_partitions(cold, t) for t in targets]
+    finally:
+        cache.set_max_entries(old_limit)
 
 
 def test_concurrent_use_of_shared_cache():
+    cache = shared_cache()
+    old_limit = cache.max_entries
     rd = make_root_data("B", 2)
-    cache = PartitionCache(max_entries=100_000)
     targets = [w(c) for c in itertools.product(range(-2, 4), repeat=3)]
     expected = [count_vector_partitions(rd.sigma, t) for t in targets]
+    cold = _cold_binding(rd.sigma)  # the four threads fill its entries together
     results = {}
 
     def worker(tag):
-        results[tag] = [
-            count_vector_partitions(rd.sigma, t, cache=cache) for t in targets
-        ]
+        results[tag] = [count_vector_partitions(cold, t) for t in targets]
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    try:
+        cache.set_max_entries(100_000)
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        cache.set_max_entries(old_limit)
     assert all(results[i] == expected for i in range(4))
 
 

@@ -1,0 +1,59 @@
+"""Every library entry that takes a branching pair (family, n, lam, mu)
+rejects an invalid one with DomainError, through ``weights.check_pair``."""
+
+import pytest
+
+from sobranch.clebsch_gordan import closed_form_B, closed_form_D
+from sobranch.errors import DomainError
+from sobranch.kostant import BranchingQuery
+from sobranch.oracle import branch_oracle
+from sobranch.tsukamoto import tsukamoto_generating_function
+from sobranch.u3_so3 import ending_B, ending_D
+from sobranch.weights import Weight, interlace
+
+w = Weight.of_ints
+
+# (id, family, n, lam, mu, whether the defect is in lam, family or n)
+BAD_PAIRS = [
+    ("unknown-family", "C", 2, w([1, 0, 0]), w([0, 0]), True),
+    ("n-below-minimum-B", "B", 1, w([1, 0]), w([0]), True),
+    ("n-below-minimum-D", "D", 0, w([1, 0]), Weight(()), True),
+    ("lam-rank-B", "B", 2, w([1, 0]), w([0, 0]), True),
+    ("lam-rank-D", "D", 1, w([1, 0, 0, 0]), w([0]), True),
+    ("mu-rank-B", "B", 2, w([1, 0, 0]), w([0, 0, 0]), False),
+    ("mu-rank-D", "D", 2, w([1, 0, 0, 0]), w([0]), False),
+    ("non-dominant-lam-B", "B", 2, w([0, 1, 0]), w([0, 0]), True),
+    ("non-dominant-lam-D", "D", 2, w([1, 1, 1, -2]), w([0, 0]), True),
+    ("non-dominant-mu-B", "B", 2, w([1, 1, 0]), w([0, 1]), False),
+    ("non-dominant-mu-D", "D", 2, w([1, 1, 1, 1]), w([1, -1]), False),
+    ("half-integral-lam-B", "B", 2, Weight((1, 1, 1)), w([1, 0]), True),
+    ("half-integral-D", "D", 2, Weight((1, 1, 1, 1)), Weight((1, 1)), True),
+]
+
+CLOSED_FORM = {"B": closed_form_B, "D": closed_form_D}
+ENDING = {"B": ending_B, "D": ending_D}
+
+# name -> (call, whether it needs a known family, whether it checks mu)
+ENTRIES = {
+    "query": (lambda f, n, lam, mu: BranchingQuery(f, n, lam, mu, 0), False, True),
+    "interlace-simple": (lambda f, n, lam, mu: interlace("simple", f, lam, mu), False, True),
+    "interlace-triple": (lambda f, n, lam, mu: interlace("triple", f, lam, mu), False, True),
+    "tsukamoto": (lambda f, n, lam, mu: tsukamoto_generating_function(f, lam, mu), False, True),
+    "closed-form": (lambda f, n, lam, mu: CLOSED_FORM[f](lam, mu), True, True),
+    "ending": (lambda f, n, lam, mu: ENDING[f](lam, mu), True, True),
+    "oracle": (lambda f, n, lam, mu: branch_oracle(f, n, lam), False, False),
+}
+
+CASES = [
+    pytest.param(name, family, n, lam, mu, id=f"{row_id}-{name}")
+    for row_id, family, n, lam, mu, lam_side in BAD_PAIRS
+    for name, (_, per_family, takes_mu) in ENTRIES.items()
+    if (family in CLOSED_FORM or not per_family) and (lam_side or takes_mu)
+]
+
+
+@pytest.mark.parametrize("entry, family, n, lam, mu", CASES)
+def test_every_pair_entry_rejects_an_invalid_pair(entry, family, n, lam, mu):
+    call = ENTRIES[entry][0]
+    with pytest.raises(DomainError):
+        call(family, n, lam, mu)

@@ -78,6 +78,9 @@ def test_weyl_group_counts_and_uniqueness():
     assert len(d3) == 24 and len(set(d3)) == 24
     assert all(len(om.flips) % 2 == 0 for om in d3)
     assert SignedPermutation.identity(3).sign == 1
+    assert SignedPermutation.transposition(3, 0, 2).sign == -1
+    assert SignedPermutation.reflection(3, 1).sign == -1
+    assert SignedPermutation((1, 2, 0), frozenset((0, 2))).sign == 1
 
 
 def test_apply_examples():
