@@ -38,25 +38,44 @@ from .weights import (
 USAGE_ERROR = 2
 
 
+def _memo(tables: dict, key: tuple, build):
+    """``build()`` once per run and key, kept in the per-run tables; a route
+    that does not apply (PreconditionError) is kept as None."""
+    if key not in tables:
+        try:
+            tables[key] = build()
+        except PreconditionError:
+            tables[key] = None
+    return tables[key]
+
+
 def _oracle(q: BranchingQuery, tables: dict) -> int:
     """The oracle's answer from its full table of q.lam, built once per run."""
-    key = (q.family, q.n, q.lam)
-    if key not in tables:
-        tables[key] = branch_oracle(q.family, q.n, q.lam)
-    return tables[key].get(q.mu, q.k)
+    table = _memo(tables, ("oracle", q.family, q.n, q.lam),
+                  lambda: branch_oracle(q.family, q.n, q.lam))
+    return table.get(q.mu, q.k)
 
 
-# Method name -> route(query, per-run oracle tables), in alphabetical order.
-# The entries look the library functions up in this module's globals at call
-# time rather than capturing them here, so code that rebinds one of them on
-# this module (a tracer, a test injecting a fault) sees every call.
+def _from_multiset(method: str, q: BranchingQuery, tables: dict, build) -> int | None:
+    """Multiplicity of q.k in the whole SO(3) multiset of (q.lam, q.mu) that
+    ``build()`` returns, built once per run; None where it does not apply."""
+    multiset = _memo(tables, (method, q.family, q.n, q.lam, q.mu), build)
+    return None if multiset is None else multiset.mult(q.k)
+
+
+# Method name -> route(query, per-run tables), in alphabetical order.  A route
+# returns the multiplicity, or None or a PreconditionError where the method
+# does not apply.  The per-run tables hold each whole answer a route reads k
+# off: the oracle's table per lam, the closed-form and ending multisets per
+# (lam, mu).  The entries look the library functions up in this module's
+# globals at call time rather than capturing them here, so code that rebinds
+# one of them on this module (a tracer, a test injecting a fault) sees every
+# call.
 METHODS = {
-    "closed-form": lambda q, tables: (
-        closed_form_B(q.lam, q.mu) if q.family == FAMILY_B else closed_form_D(q.lam, q.mu)
-    ).mult(q.k),
-    "ending": lambda q, tables: (
-        ending_B(q.lam, q.mu) if q.family == FAMILY_B else ending_D(q.lam, q.mu)
-    ).mult(q.k),
+    "closed-form": lambda q, tables: _from_multiset("closed-form", q, tables, lambda: (
+        closed_form_B(q.lam, q.mu) if q.family == FAMILY_B else closed_form_D(q.lam, q.mu))),
+    "ending": lambda q, tables: _from_multiset("ending", q, tables, lambda: (
+        ending_B(q.lam, q.mu) if q.family == FAMILY_B else ending_D(q.lam, q.mu))),
     "kostant-full": lambda q, tables: multiplicity_kostant_full(q),
     "kostant-reduced": lambda q, tables: multiplicity_kostant_reduced(q),
     "oracle": _oracle,
@@ -174,12 +193,14 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     tables: dict = {}
     report = {"family": args.family, "n": args.n, "max": args.max,
               "methods": list(args.methods), "points": 0, "divergence": None}
+    unchecked = 0
     for lam, mu, k in _grid(args.family, args.n, args.max):
         values = {
             method: _method_value(method, args.family, args.n, lam, mu, k, tables)
             for method in args.methods
         }
         report["points"] += 1
+        unchecked += sum(v is not None for v in values.values()) < 2
         if len(set(values.values()) - {None}) > 1:
             report["divergence"] = {"lambda": list(lam.to_ints()), "mu": list(mu.to_ints()),
                                     "k": k, "values": values}
@@ -194,6 +215,9 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         values = ", ".join(f"{m}={v}" for m, v in sorted(d["values"].items()))
         out.write(f"DIVERGENCE family={args.family} n={args.n} lambda={d['lambda']} "
                   f"mu={d['mu']} k={d['k']}: {values}\n")
+    if unchecked:
+        print(f"note: {unchecked} of {report['points']} grid points had fewer than two "
+              "applicable methods", file=sys.stderr)
     return 0 if d is None else 1
 
 

@@ -6,16 +6,22 @@ contributes a product of quantum brackets [l] = x^{l-1} + x^{l-3} + ... +
 x^{-(l-1)} times one antisymmetric two-term factor with half-integral
 exponent; the branching multiplicity of the SO(3) label k is the
 coefficient of x^{k+1/2} of the total.
+
+The series of a pair (lam, mu) carries every label k at once, so
+``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that is built
+once per (family, lam, mu) and kept in a small LRU (``_row``).  A pair that
+raises is not kept: it raises again on the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
 from .kostant import BranchingQuery
-from .weights import FAMILY_B, FAMILY_D, Weight, check_family, interlace
+from .weights import FAMILY_B, FAMILY_D, Weight, check_pair, interlace
 
 
 class LaurentPoly:
@@ -184,8 +190,9 @@ def _atuples_D(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:
 
 
 def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...]:
-    """All admissible parameter tuples for the given highest-weight pair."""
-    check_family(family)
+    """All admissible parameter tuples for the given highest-weight pair;
+    a pair that fails ``check_pair`` (n the rank of mu) raises DomainError."""
+    check_pair(family, mu.rank, lam, mu)
     if family == FAMILY_B:
         return tuple(_atuples_B(lam.to_ints(), mu.to_ints()))
     return tuple(_atuples_D(lam.to_ints(), mu.to_ints()))
@@ -223,11 +230,21 @@ def extract_multiplicities(p: LaurentPoly) -> dict[int, int]:
     return out
 
 
+#: Tsukamoto rows kept, one per (family, lam, mu); a verify sweep walks one
+#: pair at a time through all its k
+_ROWS = 8
+
+
+@lru_cache(maxsize=_ROWS)
+def _row(family: str, lam: Weight, mu: Weight) -> dict[int, int]:
+    """k -> m_k for every label of the pair, from one generating function."""
+    return extract_multiplicities(tsukamoto_generating_function(family, lam, mu))
+
+
 def multiplicity_tsukamoto(q: BranchingQuery) -> int:
     """Branching multiplicity read off the generating function.  Family D
     queries are tilde-normalized first; family B handles a negative last
     coordinate of mu directly."""
     if q.family == FAMILY_D:
         q = q.normalized()
-    series = tsukamoto_generating_function(q.family, q.lam, q.mu)
-    return extract_multiplicities(series).get(q.k, 0)
+    return _row(q.family, q.lam, q.mu).get(q.k, 0)

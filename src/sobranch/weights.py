@@ -275,11 +275,21 @@ def k_family(family: str) -> str:
     return FAMILY_D if family == FAMILY_B else FAMILY_B
 
 
+#: valid pairs remembered by ``check_pair``; a verify sweep checks each grid
+#: point's pair several times (once per method, and again inside the routes)
+_CHECKED_PAIRS = 64
+
+
+@lru_cache(maxsize=_CHECKED_PAIRS, typed=True)
 def check_pair(family: str, n: int, lam: Weight, mu: Weight) -> None:
     """The one test of a branching pair: family B or D with n at least the
     family's minimum, lam an integral dominant weight of the ambient G
     (rank ``g_rank``) and mu one of the subgroup K (rank n).  Raises
-    DomainError naming the first condition that fails."""
+    DomainError naming the first condition that fails.
+
+    Memoised on its arguments (types included) for the last
+    ``_CHECKED_PAIRS`` valid pairs; an error is never memoised, so an
+    invalid pair raises on every call."""
     lam_rank = g_rank(family, n)
     if mu.rank != n:
         raise DomainError(f"mu must have rank {n}, got {mu.rank}")

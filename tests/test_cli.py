@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sobranch import cli
+from sobranch import cli, tsukamoto
 from sobranch.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -128,6 +129,45 @@ def test_verify_agreement(capsys):
     )
     assert code == 0
     assert out == "OK family=D n=1 max=1: 28 grid points agree across kostant-full, tsukamoto\n"
+
+
+def test_verify_notes_points_without_a_cross_check(capsys):
+    # only 11 of the 40 points have both an ending and a closed form; the
+    # report is unchanged and a note on stderr says so
+    code, out, err = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "1",
+                         "--methods", "ending,closed-form")
+    assert code == 0
+    assert out == "OK family=B n=2 max=1: 40 grid points agree across ending, closed-form\n"
+    assert err == "note: 29 of 40 grid points had fewer than two applicable methods\n"
+    code, out, err = run(capsys, "verify", "--family", "D", "--n", "1", "--max", "1",
+                         "--methods", "kostant-full,tsukamoto")
+    assert code == 0 and err == ""
+
+
+def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((cli, "closed_form_B"), (cli, "ending_B"),
+                         (tsukamoto, "tsukamoto_generating_function")):
+        counting(module, name)
+    tsukamoto._row.cache_clear()
+    code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
+                       "--methods", "tsukamoto,closed-form,ending")
+    assert code == 0
+    assert out == ("OK family=B n=2 max=2: 360 grid points agree across "
+                   "tsukamoto, closed-form, ending\n")
+    pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
+    assert calls == {"closed_form_B": pairs, "ending_B": pairs,
+                     "tsukamoto_generating_function": pairs}
 
 
 def inject_off_by_one(monkeypatch, method):

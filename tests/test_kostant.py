@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from sobranch import kostant, partition
+from sobranch import kostant, partition, tsukamoto, weights
 from sobranch.clebsch_gordan import closed_form_B
 from sobranch.errors import DomainError, InterlacingError
 from sobranch.kostant import (
@@ -166,6 +166,8 @@ def test_sorted_orbit_walk_matches_plain_weyl_sum(family, n, bound):
 def test_orbit_and_binding_caches_are_bounded():
     assert kostant._orbit.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
+    assert tsukamoto._row.cache_info().maxsize is not None
+    assert weights.check_pair.cache_info().maxsize is not None
 
 
 def test_full_sum_unchanged_under_a_tiny_shared_cache():

@@ -7,9 +7,9 @@ from sobranch.clebsch_gordan import closed_form_B, closed_form_D
 from sobranch.errors import DomainError
 from sobranch.kostant import BranchingQuery
 from sobranch.oracle import branch_oracle
-from sobranch.tsukamoto import tsukamoto_generating_function
+from sobranch.tsukamoto import enumerate_atuples, tsukamoto_generating_function
 from sobranch.u3_so3 import ending_B, ending_D
-from sobranch.weights import Weight, interlace
+from sobranch.weights import Weight, check_pair, interlace
 
 w = Weight.of_ints
 
@@ -39,6 +39,7 @@ ENTRIES = {
     "interlace-simple": (lambda f, n, lam, mu: interlace("simple", f, lam, mu), False, True),
     "interlace-triple": (lambda f, n, lam, mu: interlace("triple", f, lam, mu), False, True),
     "tsukamoto": (lambda f, n, lam, mu: tsukamoto_generating_function(f, lam, mu), False, True),
+    "atuples": (lambda f, n, lam, mu: enumerate_atuples(f, lam, mu), False, True),
     "closed-form": (lambda f, n, lam, mu: CLOSED_FORM[f](lam, mu), True, True),
     "ending": (lambda f, n, lam, mu: ENDING[f](lam, mu), True, True),
     "oracle": (lambda f, n, lam, mu: branch_oracle(f, n, lam), False, False),
@@ -57,3 +58,14 @@ def test_every_pair_entry_rejects_an_invalid_pair(entry, family, n, lam, mu):
     call = ENTRIES[entry][0]
     with pytest.raises(DomainError):
         call(family, n, lam, mu)
+
+
+def test_an_invalid_pair_raises_on_every_call():
+    # check_pair memoises valid pairs only: a repeat of an invalid pair, even
+    # right after a valid one, runs the check again and raises again
+    valid = ("B", 2, w([1, 0, 0]), w([0, 0]))
+    for _, family, n, lam, mu, _ in BAD_PAIRS:
+        for _ in range(3):
+            check_pair(*valid)
+            with pytest.raises(DomainError):
+                check_pair(family, n, lam, mu)
