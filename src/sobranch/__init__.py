@@ -32,7 +32,6 @@ from .errors import (
     SobranchError,
 )
 from .kostant import (
-    BranchingQuery,
     kostant_terms,
     multiplicity_kostant_full,
     multiplicity_kostant_reduced,
@@ -69,6 +68,7 @@ from .u3_so3 import (
     u3_to_so3_oracle,
 )
 from .weights import (
+    BranchingQuery,
     RootData,
     SignedPermutation,
     Weight,

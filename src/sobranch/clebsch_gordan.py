@@ -49,9 +49,6 @@ class So3MultiSet:
     def dimension(self) -> int:
         return sum(m * (2 * k + 1) for k, m in self._mult.items())
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._mult)
-
     def __bool__(self) -> bool:
         return bool(self._mult)
 

@@ -5,6 +5,10 @@ Subcommands: ``mult`` (per-method multiplicities for one query),
 ``verify`` (method-agreement sweep over a bounded grid), and ``u3so3``
 (U(3) to SO(3) branching, closed formula vs oracle).
 
+``sweep`` is the one walk over a verify grid: ``verify`` reports on it and
+the cross-route test sweeps check it.  Whole answers a route reads k off are
+kept per lam and dropped when the walk moves to the next lam.
+
 Exit codes: 0 success/agreement, 1 divergence between methods, 2 usage
 error.  Reports go to stdout, diagnostics to stderr.  The environment
 variable SOBRANCH_CACHE_ENTRIES bounds the partition memo cache.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -21,12 +26,13 @@ import sys
 from . import partition
 from .clebsch_gordan import closed_form_B, closed_form_D
 from .errors import DomainError, PreconditionError, SobranchError
-from .kostant import BranchingQuery, multiplicity_kostant_full, multiplicity_kostant_reduced
+from .kostant import multiplicity_kostant_full, multiplicity_kostant_reduced
 from .oracle import branch_oracle
 from .tsukamoto import multiplicity_tsukamoto
 from .u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle
 from .weights import (
     FAMILY_B,
+    BranchingQuery,
     Weight,
     check_family_n,
     g_rank,
@@ -39,8 +45,8 @@ USAGE_ERROR = 2
 
 
 def _memo(tables: dict, key: tuple, build):
-    """``build()`` once per run and key, kept in the per-run tables; a route
-    that does not apply (PreconditionError) is kept as None."""
+    """``build()`` once per key, kept in the per-lam tables; a route that
+    does not apply (PreconditionError) is kept as None."""
     if key not in tables:
         try:
             tables[key] = build()
@@ -50,7 +56,7 @@ def _memo(tables: dict, key: tuple, build):
 
 
 def _oracle(q: BranchingQuery, tables: dict) -> int:
-    """The oracle's answer from its full table of q.lam, built once per run."""
+    """The oracle's answer from its full table of q.lam, built once per lam."""
     table = _memo(tables, ("oracle", q.family, q.n, q.lam),
                   lambda: branch_oracle(q.family, q.n, q.lam))
     return table.get(q.mu, q.k)
@@ -58,15 +64,15 @@ def _oracle(q: BranchingQuery, tables: dict) -> int:
 
 def _from_multiset(method: str, q: BranchingQuery, tables: dict, build) -> int | None:
     """Multiplicity of q.k in the whole SO(3) multiset of (q.lam, q.mu) that
-    ``build()`` returns, built once per run; None where it does not apply."""
+    ``build()`` returns, built once per pair; None where it does not apply."""
     multiset = _memo(tables, (method, q.family, q.n, q.lam, q.mu), build)
     return None if multiset is None else multiset.mult(q.k)
 
 
-# Method name -> route(query, per-run tables), in alphabetical order.  A route
+# Method name -> route(query, per-lam tables), in alphabetical order.  A route
 # returns the multiplicity, or None or a PreconditionError where the method
-# does not apply.  The per-run tables hold each whole answer a route reads k
-# off: the oracle's table per lam, the closed-form and ending multisets per
+# does not apply.  The per-lam tables hold each whole answer a route reads k
+# off: the oracle's table of lam, the closed-form and ending multisets per
 # (lam, mu).  The entries look the library functions up in this module's
 # globals at call time rather than capturing them here, so code that rebinds
 # one of them on this module (a tracer, a test injecting a fault) sees every
@@ -184,21 +190,29 @@ def _grid(family: str, n: int, bound: int):
                 yield lam, mu, k
 
 
+def sweep(family: str, n: int, bound: int, methods: tuple[str, ...]):
+    """Yield (lam, mu, k, {method: value or None}) for every point of
+    ``_grid``, in its order, with one ``_method_value`` call per (point,
+    method).  The tables are new for each lam: the grid is lam-major and no
+    table key spans two lams, so this loses no reuse and holds one lam's."""
+    for lam, points in itertools.groupby(_grid(family, n, bound), key=lambda point: point[0]):
+        tables: dict = {}
+        for _, mu, k in points:
+            yield lam, mu, k, {
+                method: _method_value(method, family, n, lam, mu, k, tables) for method in methods
+            }
+
+
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     check_family_n(args.family, args.n)
     if args.max < 0:
         raise DomainError(f"--max must be non-negative, got {args.max}")
     if len(set(args.methods)) < 2:
         raise DomainError("verify needs at least two distinct methods to cross-check")
-    tables: dict = {}
     report = {"family": args.family, "n": args.n, "max": args.max,
               "methods": list(args.methods), "points": 0, "divergence": None}
     unchecked = 0
-    for lam, mu, k in _grid(args.family, args.n, args.max):
-        values = {
-            method: _method_value(method, args.family, args.n, lam, mu, k, tables)
-            for method in args.methods
-        }
+    for lam, mu, k, values in sweep(args.family, args.n, args.max, args.methods):
         report["points"] += 1
         unchecked += sum(v is not None for v in values.values()) < 2
         if len(set(values.values()) - {None}) > 1:

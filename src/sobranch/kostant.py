@@ -25,52 +25,21 @@ repeated work:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DomainError, InterlacingError, InternalInconsistencyError
+from .errors import InterlacingError, InternalInconsistencyError
 from .partition import count_vector_partitions, partition_function
 from .weights import (
     FAMILY_B,
-    FAMILY_D,
+    BranchingQuery,
     SignedPermutation,
     Weight,
-    check_pair,
     interlace,
     make_root_data,
     restrict,
-    tilde,
     weyl_elements,
 )
-
-
-@dataclass(frozen=True)
-class BranchingQuery:
-    """One branching question: how often does the subgroup irreducible with
-    highest weight ``mu`` tensored with the (2k+1)-dimensional SO(3)
-    representation occur in the ambient irreducible with highest weight
-    ``lam``."""
-
-    family: str
-    n: int
-    lam: Weight
-    mu: Weight
-    k: int
-
-    def __post_init__(self) -> None:
-        check_pair(self.family, self.n, self.lam, self.mu)
-        if self.k < 0:
-            raise DomainError("k must be non-negative")
-
-    def normalized(self) -> "BranchingQuery":
-        """Tilde-normalize: last coordinate of mu (family B) or lam (family D)
-        made non-negative.  Multiplicities are invariant under this."""
-        if self.family == FAMILY_B and self.mu.coords2[-1] < 0:
-            return BranchingQuery(self.family, self.n, self.lam, tilde(FAMILY_B, self.mu), self.k)
-        if self.family == FAMILY_D and self.lam.coords2[-1] < 0:
-            return BranchingQuery(self.family, self.n, tilde(FAMILY_D, self.lam), self.mu, self.k)
-        return self
 
 
 #: Weyl orbits kept, one per (family, n, lam); a verify sweep walks one lam

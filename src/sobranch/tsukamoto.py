@@ -9,8 +9,10 @@ coefficient of x^{k+1/2} of the total.
 
 The series of a pair (lam, mu) carries every label k at once, so
 ``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that is built
-once per (family, lam, mu) and kept in a small LRU (``_row``).  A pair that
-raises is not kept: it raises again on the next call.
+once per (family, lam, mu).  ``_row`` keeps the rows of the last two lam
+(after tilde-normalization), which covers a family D sweep meeting lam and
+its tilde partner back to back.  A pair that raises is not kept: it raises
+again on the next call.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
-from .kostant import BranchingQuery
-from .weights import FAMILY_B, FAMILY_D, Weight, check_pair, interlace
+from .weights import FAMILY_B, FAMILY_D, BranchingQuery, Weight, check_pair, interlace
 
 
 class LaurentPoly:
@@ -230,15 +231,17 @@ def extract_multiplicities(p: LaurentPoly) -> dict[int, int]:
     return out
 
 
-#: Tsukamoto rows kept, one per (family, lam, mu); a verify sweep walks one
-#: pair at a time through all its k
-_ROWS = 8
+#: lam whose rows are kept; a verify sweep walks one lam at a time through
+#: all its (mu, k), and under family D meets lam and tilde(lam) back to back
+_ROWS = 2
 
 
 @lru_cache(maxsize=_ROWS)
-def _row(family: str, lam: Weight, mu: Weight) -> dict[int, int]:
-    """k -> m_k for every label of the pair, from one generating function."""
-    return extract_multiplicities(tsukamoto_generating_function(family, lam, mu))
+def _row(family: str, lam: Weight) -> dict[Weight, dict[int, int]]:
+    """mu -> (k -> m_k) for the pairs of lam seen so far; filled by
+    ``multiplicity_tsukamoto`` (two threads may both build a row; they store
+    equal ones)."""
+    return {}
 
 
 def multiplicity_tsukamoto(q: BranchingQuery) -> int:
@@ -247,4 +250,7 @@ def multiplicity_tsukamoto(q: BranchingQuery) -> int:
     coordinate of mu directly."""
     if q.family == FAMILY_D:
         q = q.normalized()
-    return _row(q.family, q.lam, q.mu).get(q.k, 0)
+    rows = _row(q.family, q.lam)
+    if q.mu not in rows:
+        rows[q.mu] = extract_multiplicities(tsukamoto_generating_function(q.family, q.lam, q.mu))
+    return rows[q.mu].get(q.k, 0)

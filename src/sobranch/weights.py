@@ -21,7 +21,8 @@ SO(3) torus coordinate.
 
 ``check_pair`` is the package's one definition of a valid branching pair
 (family, n, lam, mu); every entry point that takes a pair calls it, directly
-or through ``interlace``.
+or through ``interlace`` or ``BranchingQuery``, the one query type every
+route answers.
 """
 
 from __future__ import annotations
@@ -345,6 +346,34 @@ def tilde(family: str, w: Weight) -> Weight:
     return w.with_last_negated()
 
 
+@dataclass(frozen=True)
+class BranchingQuery:
+    """One branching question: how often does the subgroup irreducible with
+    highest weight ``mu`` tensored with the (2k+1)-dimensional SO(3)
+    representation occur in the ambient irreducible with highest weight
+    ``lam``."""
+
+    family: str
+    n: int
+    lam: Weight
+    mu: Weight
+    k: int
+
+    def __post_init__(self) -> None:
+        check_pair(self.family, self.n, self.lam, self.mu)
+        if self.k < 0:
+            raise DomainError("k must be non-negative")
+
+    def normalized(self) -> "BranchingQuery":
+        """Tilde-normalize: last coordinate of mu (family B) or lam (family D)
+        made non-negative.  Multiplicities are invariant under this."""
+        if self.family == FAMILY_B and self.mu.coords2[-1] < 0:
+            return BranchingQuery(self.family, self.n, self.lam, tilde(FAMILY_B, self.mu), self.k)
+        if self.family == FAMILY_D and self.lam.coords2[-1] < 0:
+            return BranchingQuery(self.family, self.n, tilde(FAMILY_D, self.lam), self.mu, self.k)
+        return self
+
+
 def restrict(family: str, w: Weight) -> Weight:
     """Restrict from the ambient torus to the subgroup-times-SO(3) torus:
     the identity under family B, removal of the next-to-last coordinate
@@ -388,22 +417,15 @@ class RootData:
     """All root-theoretic data needed by the branching algorithms for one
     family and one parameter n.
 
-    The multisets ``sigma`` (restricted ambient positive roots minus the
-    subgroup's), ``sigma_prime`` (the paired generators e_i +- e_last) and
-    ``sigma_double_prime`` (sigma_prime plus -e_last) live in the restricted
-    rank n+1 coordinates whose last slot is the SO(3) direction.
+    The multiset ``sigma`` (restricted ambient positive roots minus the
+    subgroup's) lives in the restricted rank n+1 coordinates whose last slot
+    is the SO(3) direction.
     """
 
     family: str
     n: int
-    positive_roots_g: tuple[Weight, ...]
-    positive_roots_k: tuple[Weight, ...]
     rho_g: Weight
-    rho_k: Weight
-    rho_h: Weight
     sigma: tuple[Weight, ...]
-    sigma_prime: tuple[Weight, ...]
-    sigma_double_prime: tuple[Weight, ...]
 
     @property
     def g_rank(self) -> int:
@@ -423,27 +445,9 @@ def make_root_data(family: str, n: int) -> RootData:
     """Build the root data for one family and parameter n (family B needs
     n >= 2, family D needs n >= 1)."""
     check_family_n(family, n)
-    s_rank = n + 1
-    e = lambda i: Weight.basis(s_rank, i)
-    last = s_rank - 1
-    sigma_prime = tuple(
-        e(i) + e(last).scaled(s) for i in range(n) for s in (1, -1)
-    )
-    sigma_double_prime = sigma_prime + (-e(last),)
-    sigma = sigma_prime + tuple(e(i) for i in range(n))
+    e = lambda i: Weight.basis(n + 1, i)  # e(n) is the SO(3) slot
+    sigma = tuple(e(i) + e(n).scaled(s) for i in range(n) for s in (1, -1))
+    sigma += tuple(e(i) for i in range(n))
     if family == FAMILY_D:
-        sigma = sigma + (-e(last),)
-    grank = g_rank(family, n)
-    kfam = k_family(family)
-    return RootData(
-        family=family,
-        n=n,
-        positive_roots_g=algebra_positive_roots(family, grank),
-        positive_roots_k=algebra_positive_roots(kfam, n),
-        rho_g=algebra_rho(family, grank),
-        rho_k=algebra_rho(kfam, n),
-        rho_h=Weight((0,) * n + (1,)),
-        sigma=sigma,
-        sigma_prime=sigma_prime,
-        sigma_double_prime=sigma_double_prime,
-    )
+        sigma += (-e(n),)
+    return RootData(family=family, n=n, rho_g=algebra_rho(family, g_rank(family, n)), sigma=sigma)

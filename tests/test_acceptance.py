@@ -8,26 +8,14 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from sobranch.clebsch_gordan import (
-    So3MultiSet,
-    closed_form_B,
-    closed_form_D,
-    so3_tensor_decompose,
-    su2_tensor_multiplicity,
-)
+from sobranch import cli
+from sobranch.clebsch_gordan import So3MultiSet, so3_tensor_decompose, su2_tensor_multiplicity
 from sobranch.errors import CoincidencePatternError
-from sobranch.kostant import (
-    BranchingQuery,
-    multiplicity_kostant_full,
-    multiplicity_kostant_reduced,
-)
 from sobranch.oracle import branch_oracle, weight_multiplicities, weyl_dim, xi
 from sobranch.partition import count_sigma_prime, count_vector_partitions
-from sobranch.tsukamoto import extract_multiplicities, tsukamoto_generating_function
 from sobranch.u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle
 from sobranch.weights import (
     Weight,
-    g_rank,
     interlace,
     iter_dominant_weights,
     make_root_data,
@@ -54,36 +42,21 @@ class SweepData:
     records: list
 
 
+#: the routes every sweep point is checked across (``ending`` is checked row
+#: by row against the oracle table in criterion 8)
+SWEEP_METHODS = ("kostant-full", "tsukamoto", "oracle", "kostant-reduced", "closed-form")
+
+
 def run_sweep(family: str, n: int, bound: int) -> SweepData:
+    """The verify sweep itself (``cli.sweep``), with each lam's whole oracle
+    table kept beside its rows for the table-level criteria."""
     start = time.monotonic()
-    k_family = "D" if family == "B" else "B"
-    records = []
-    mus = list(iter_dominant_weights(k_family, n, bound))
-    for lam in iter_dominant_weights(family, g_rank(family, n), bound):
-        record = LambdaRecord(lam=lam, table=branch_oracle(family, n, lam))
-        k_top = sum(abs(c) for c in lam.to_ints())
-        for mu in mus:
-            series = extract_multiplicities(
-                tsukamoto_generating_function(family, lam, mu)
-            )
-            simple = interlace("simple", family, lam, mu)
-            closed = None
-            if simple:
-                closed = (
-                    closed_form_B(lam, mu) if family == "B" else closed_form_D(lam, mu)
-                )
-            for k in range(k_top + 1):
-                q = BranchingQuery(family, n, lam, mu, k)
-                row = {
-                    "kostant-full": multiplicity_kostant_full(q),
-                    "tsukamoto": series.get(k, 0),
-                    "oracle": record.table.get(mu, k),
-                    "kostant-reduced": multiplicity_kostant_reduced(q) if simple else None,
-                    "closed-form": closed.mult(k) if simple else None,
-                }
-                record.rows[(mu.to_ints(), k)] = row
-        records.append(record)
-    return SweepData(family, n, bound, time.monotonic() - start, records)
+    records = {}
+    for lam, mu, k, values in cli.sweep(family, n, bound, SWEEP_METHODS):
+        if lam not in records:
+            records[lam] = LambdaRecord(lam=lam, table=branch_oracle(family, n, lam))
+        records[lam].rows[(mu.to_ints(), k)] = values
+    return SweepData(family, n, bound, time.monotonic() - start, list(records.values()))
 
 
 @pytest.fixture(scope="session")
@@ -109,6 +82,8 @@ def _assert_four_way_agreement(sweep: SweepData):
         for (mu, k), _m in record.table.items():
             assert mu in grid_mus and (mu, k) in record.rows
         for (mu, k), row in record.rows.items():
+            # the full sum, the series and the oracle apply at every point
+            assert None not in (row["kostant-full"], row["tsukamoto"], row["oracle"]), row
             values = {v for v in row.values() if v is not None}
             assert len(values) == 1, (sweep.family, record.lam, mu, k, row)
             checked += 1

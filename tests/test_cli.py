@@ -11,6 +11,7 @@ import pytest
 
 from sobranch import cli, tsukamoto
 from sobranch.cli import main
+from sobranch.weights import tilde
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -144,7 +145,9 @@ def test_verify_notes_points_without_a_cross_check(capsys):
     assert code == 0 and err == ""
 
 
-def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
+def count_calls(monkeypatch, *targets) -> Counter:
+    """Count the calls of each (module, name) from here on, by name, starting
+    with no Tsukamoto rows kept."""
     calls = Counter()
 
     def counting(module, name):
@@ -156,10 +159,15 @@ def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((cli, "closed_form_B"), (cli, "ending_B"),
-                         (tsukamoto, "tsukamoto_generating_function")):
+    for module, name in targets:
         counting(module, name)
     tsukamoto._row.cache_clear()
+    return calls
+
+
+def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, (cli, "closed_form_B"), (cli, "ending_B"),
+                        (tsukamoto, "tsukamoto_generating_function"))
     code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
                        "--methods", "tsukamoto,closed-form,ending")
     assert code == 0
@@ -168,6 +176,63 @@ def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
     pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
     assert calls == {"closed_form_B": pairs, "ending_B": pairs,
                      "tsukamoto_generating_function": pairs}
+
+
+def test_verify_builds_each_family_D_series_once(capsys, monkeypatch):
+    # the D grid meets lam and tilde(lam) back to back; the Tsukamoto route
+    # tilde-normalizes lam, so the partner's series are the ones just built
+    calls = count_calls(monkeypatch, (cli, "closed_form_D"), (cli, "ending_D"),
+                        (tsukamoto, "tsukamoto_generating_function"))
+    code, out, _ = run(capsys, "verify", "--family", "D", "--n", "3", "--max", "2",
+                       "--methods", "tsukamoto,closed-form,ending")
+    assert code == 0
+    assert out == ("OK family=D n=3 max=2: 1770 grid points agree across "
+                   "tsukamoto, closed-form, ending\n")
+    pairs = {(lam, mu) for lam, mu, _ in cli._grid("D", 3, 2)}
+    normalized = {(tilde("D", lam) if lam.coords2[-1] < 0 else lam, mu) for lam, mu in pairs}
+    assert len(normalized) < len(pairs)
+    assert calls == {"closed_form_D": len(pairs), "ending_D": len(pairs),
+                     "tsukamoto_generating_function": len(normalized)}
+
+
+def test_verify_tables_hold_one_lam(capsys, monkeypatch):
+    # every table key is (method, family, n, lam, ...): a whole answer of lam
+    method_value = cli._method_value
+    held = []
+
+    def inspecting(method, family, n, lam, mu, k, tables):
+        held.append({key[3] for key in tables} - {lam})
+        return method_value(method, family, n, lam, mu, k, tables)
+
+    monkeypatch.setattr(cli, "_method_value", inspecting)
+    code, out, _ = run(capsys, "verify", "--family", "D", "--n", "1", "--max", "2",
+                       "--methods", "all")
+    assert code == 0 and out.startswith("OK family=D n=1 max=2: ")
+    assert len(held) > 0 and not any(held)
+
+
+def test_sweep_walks_the_verify_grid_in_order():
+    methods = tuple(cli.METHODS)
+    points = list(cli.sweep("B", 2, 1, methods))
+    assert [point[:3] for point in points] == list(cli._grid("B", 2, 1))
+    for lam, mu, k, values in points:
+        assert values == {
+            method: cli._method_value(method, "B", 2, lam, mu, k, {}) for method in methods
+        }
+        assert tuple(values) == methods
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--family", "B", "--n", "2", "--max", "-1"), "--max must be non-negative, got -1"),
+        (("--family", "B", "--n", "1", "--max", "1"), "family B requires n >= 2, got n=1"),
+        (("--family", "B", "--n", "2", "--max", "1", "--methods", "tsukamoto"),
+         "verify needs at least two distinct methods to cross-check"),
+    ],
+)
+def test_verify_usage_errors_name_the_fault(capsys, argv, message):
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
 
 
 def inject_off_by_one(monkeypatch, method):

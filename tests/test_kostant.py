@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from sobranch import kostant, partition, tsukamoto, weights
+from sobranch import cli, kostant, partition, tsukamoto, weights
 from sobranch.clebsch_gordan import closed_form_B
 from sobranch.errors import DomainError, InterlacingError
 from sobranch.kostant import (
@@ -15,10 +15,8 @@ from sobranch.partition import count_vector_partitions, shared_cache
 from sobranch.weights import (
     SignedPermutation,
     Weight,
-    g_rank,
     interlace,
     iter_dominant_weights,
-    k_family,
     make_root_data,
     restrict,
     tilde,
@@ -34,6 +32,12 @@ def q_B(lam, mu, k):
 
 def q_D(lam, mu, k):
     return BranchingQuery("D", 1, w(lam), w(mu), k)
+
+
+def grid_queries(family, n, bound):
+    """The queries of ``verify``'s grid, in its order."""
+    for lam, mu, k in cli._grid(family, n, bound):
+        yield BranchingQuery(family, n, lam, mu, k)
 
 
 def test_query_validation():
@@ -70,25 +74,18 @@ def test_reduced_requires_simple_interlacing():
 
 
 def test_reduced_equals_full_on_interlacing_grid():
-    for family, n, grank, kfam in (("B", 2, 3, "D"), ("D", 1, 3, "B")):
-        for lam in iter_dominant_weights(family, grank, 2):
-            for mu in iter_dominant_weights(kfam, n, 2):
-                if not interlace("simple", family, lam, mu):
-                    continue
-                for k in range(sum(abs(c) for c in lam.to_ints()) + 1):
-                    q = BranchingQuery(family, n, lam, mu, k)
-                    assert multiplicity_kostant_reduced(q) == multiplicity_kostant_full(q)
+    for family, n in (("B", 2), ("D", 1)):
+        for q in grid_queries(family, n, 2):
+            if interlace("simple", family, q.lam, q.mu):
+                assert multiplicity_kostant_reduced(q) == multiplicity_kostant_full(q)
 
 
 def test_weyl_lemma_support_family_B():
     allowed = {SignedPermutation.identity(3), SignedPermutation.reflection(3, 2)}
-    for lam in iter_dominant_weights("B", 3, 2):
-        for mu in iter_dominant_weights("D", 2, 2):
-            if mu.coords2[-1] < 0 or not interlace("simple", "B", lam, mu):
-                continue
-            for k in range(sum(lam.to_ints()) + 1):
-                for omega, _, _ in kostant_terms(BranchingQuery("B", 2, lam, mu, k)):
-                    assert omega in allowed
+    for q in grid_queries("B", 2, 2):
+        if q.mu.coords2[-1] >= 0 and interlace("simple", "B", q.lam, q.mu):
+            for omega, _, _ in kostant_terms(q):
+                assert omega in allowed
 
 
 def test_weyl_lemma_support_family_D():
@@ -96,15 +93,10 @@ def test_weyl_lemma_support_family_D():
     flip_two = SignedPermutation(tuple(range(3)), frozenset({1, 2}))
     swap = SignedPermutation.transposition(3, 1, 2)
     allowed = {identity, flip_two, swap, flip_two.compose(swap)}
-    for lam in iter_dominant_weights("D", 3, 2):
-        if lam.coords2[-1] < 0:
-            continue
-        for mu in iter_dominant_weights("B", 1, 2):
-            if not interlace("simple", "D", lam, mu):
-                continue
-            for k in range(sum(abs(c) for c in lam.to_ints()) + 1):
-                for omega, _, _ in kostant_terms(BranchingQuery("D", 1, lam, mu, k)):
-                    assert omega in allowed
+    for q in grid_queries("D", 1, 2):
+        if q.lam.coords2[-1] >= 0 and interlace("simple", "D", q.lam, q.mu):
+            for omega, _, _ in kostant_terms(q):
+                assert omega in allowed
 
 
 def test_tilde_invariance():
@@ -144,14 +136,6 @@ def reference_terms(q):
         value = count_vector_partitions(rd.sigma, target)
         if value:
             yield omega, omega.sign, value
-
-
-def grid_queries(family, n, bound):
-    mus = list(iter_dominant_weights(k_family(family), n, bound))
-    for lam in iter_dominant_weights(family, g_rank(family, n), bound):
-        for mu in mus:
-            for k in range(sum(abs(c) for c in lam.to_ints()) + 1):
-                yield BranchingQuery(family, n, lam, mu, k)
 
 
 @pytest.mark.parametrize("family, n, bound", [("B", 2, 3), ("B", 3, 1), ("D", 1, 3), ("D", 3, 1)])

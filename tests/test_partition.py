@@ -134,14 +134,16 @@ def test_doubling_identity_small():
 
 def test_staircase_recursion_small():
     n = 2
-    rd = make_root_data("B", n)
+    e_last = Weight.basis(n + 1, n)
+    sigma_prime = tuple(Weight.basis(n + 1, i) + e_last.scaled(s) for i in range(n) for s in (1, -1))
+    sigma_double_prime = sigma_prime + (-e_last,)
     for coords in itertools.product(range(-3, 4), repeat=n + 1):
         nu = w(coords)
-        p_nu = count_vector_partitions(rd.sigma_double_prime, nu)
+        p_nu = count_vector_partitions(sigma_double_prime, nu)
         for m in (1, 3, 6):
             tail = sum(count_sigma_prime(n, nu.shift_last(2 * r)) for r in range(m))
             assert p_nu == count_vector_partitions(
-                rd.sigma_double_prime, nu.shift_last(2 * m)
+                sigma_double_prime, nu.shift_last(2 * m)
             ) + tail
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sobranch import cli
 from sobranch.errors import DomainError, MalformedSeriesError
 from sobranch.kostant import BranchingQuery, multiplicity_kostant_full
 from sobranch.tsukamoto import (
@@ -12,7 +13,7 @@ from sobranch.tsukamoto import (
     quantum_bracket,
     tsukamoto_generating_function,
 )
-from sobranch.weights import Weight, interlace, iter_dominant_weights
+from sobranch.weights import Weight, interlace, iter_dominant_weights, tilde
 
 w = Weight.of_ints
 
@@ -173,3 +174,16 @@ def test_total_h_dimension_matches_oracle():
                     if mu_t == mu.to_ints()
                 )
                 assert from_series == from_oracle
+
+
+@pytest.mark.parametrize("n, bound", [(1, 3), (2, 2)])
+def test_family_D_series_is_tilde_invariant(n, bound):
+    # multiplicity_tsukamoto tilde-normalizes a family D lam, so the series
+    # of a lam with a negative last coordinate is checked here directly
+    pairs = {(lam, mu) for lam, mu, _ in cli._grid("D", n, bound)}
+    twisted = [(lam, mu) for lam, mu in pairs if lam.coords2[-1] < 0]
+    assert twisted
+    for lam, mu in twisted:
+        assert tsukamoto_generating_function("D", lam, mu) == tsukamoto_generating_function(
+            "D", tilde("D", lam), mu
+        ), (lam, mu)

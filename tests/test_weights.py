@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from sobranch.errors import DomainError
 from sobranch.weights import (
     SignedPermutation,
+    algebra_positive_roots,
+    algebra_rho,
     Weight,
     interlace,
     is_dominant,
@@ -37,28 +39,31 @@ def test_weight_storage_and_arithmetic():
 
 def test_root_data_family_B():
     rd = make_root_data("B", 2)
-    assert len(rd.positive_roots_g) == 9
+    assert len(algebra_positive_roots(*rd.g_algebra)) == 9
     assert rd.rho_g == Weight((5, 3, 1))
-    assert rd.rho_k == w([1, 0])
-    assert rd.rho_h == Weight((0, 0, 1))
+    assert algebra_rho(*rd.k_algebra) == w([1, 0])
+    assert algebra_rho("B", 1) == Weight((1,))  # SO(3)'s Weyl vector, 1/2
     assert sorted(x.to_ints() for x in rd.sigma) == sorted(
         [(1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, 0, 0), (0, 1, 0)]
     )
-    assert set(rd.sigma_double_prime) == set(rd.sigma_prime) | {Weight((0, 0, -2))}
-    assert len(rd.positive_roots_k) == 2  # D_2
+    # sigma'' = sigma' (the e_i +- e_last of sigma) together with -e_last
+    sigma_prime = {x for x in rd.sigma if x.coords2[-1]}
+    sigma_double_prime = {w([1, 0, 1]), w([1, 0, -1]), w([0, 1, 1]), w([0, 1, -1]), w([0, 0, -1])}
+    assert sigma_double_prime == sigma_prime | {Weight((0, 0, -2))}
+    assert len(algebra_positive_roots(*rd.k_algebra)) == 2  # D_2
 
 
 def test_root_data_family_D():
     rd = make_root_data("D", 1)
-    assert len(rd.positive_roots_g) == 6  # (n+2)(n+1) at n=1
+    assert len(algebra_positive_roots(*rd.g_algebra)) == 6  # (n+2)(n+1) at n=1
     assert sorted(x.to_ints() for x in rd.sigma) == sorted(
         [(1, 1), (1, -1), (1, 0), (0, -1)]
     )
     assert len(rd.sigma) == 4
     assert rd.rho_g == w([2, 1, 0])
-    assert rd.rho_k == Weight((1,))  # B_1 Weyl vector is 1/2
+    assert algebra_rho(*rd.k_algebra) == Weight((1,))  # B_1 Weyl vector is 1/2
     rd2 = make_root_data("D", 2)
-    assert len(rd2.positive_roots_g) == 12
+    assert len(algebra_positive_roots(*rd2.g_algebra)) == 12
     assert rd2.rho_g == w([3, 2, 1, 0])
 
 
