@@ -11,8 +11,10 @@ The series of a pair (lam, mu) carries every label k at once, so
 ``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that is built
 once per (family, lam, mu).  ``_row`` keeps the rows of the last two lam
 (after tilde-normalization), which covers a family D sweep meeting lam and
-its tilde partner back to back.  A pair that raises is not kept: it raises
-again on the next call.
+its tilde partner back to back.  The store is bounded by the mus queried
+with those two lam, not by ``_ROWS``: a pair whose series is zero keeps an
+empty row, and a pair that raises is not kept (it raises again on the next
+call).
 """
 
 from __future__ import annotations
@@ -238,9 +240,9 @@ _ROWS = 2
 
 @lru_cache(maxsize=_ROWS)
 def _row(family: str, lam: Weight) -> dict[Weight, dict[int, int]]:
-    """mu -> (k -> m_k) for the pairs of lam seen so far; filled by
-    ``multiplicity_tsukamoto`` (two threads may both build a row; they store
-    equal ones)."""
+    """mu -> (k -> m_k) for every mu queried with lam so far, so it grows
+    with those mus; filled by ``multiplicity_tsukamoto`` (two threads may
+    both build a row; they store equal ones)."""
     return {}
 
 

@@ -42,20 +42,22 @@ class SweepData:
     records: list
 
 
-#: the routes every sweep point is checked across (``ending`` is checked row
-#: by row against the oracle table in criterion 8)
-SWEEP_METHODS = ("kostant-full", "tsukamoto", "oracle", "kostant-reduced", "closed-form")
+#: the routes the verify sweep checks at every point; the oracle's value is
+#: read off the lam's whole table that the table-level criteria check (and
+#: ``ending`` is checked row by row against that table in criterion 8)
+SWEEP_METHODS = ("kostant-full", "tsukamoto", "kostant-reduced", "closed-form")
 
 
 def run_sweep(family: str, n: int, bound: int) -> SweepData:
     """The verify sweep itself (``cli.sweep``), with each lam's whole oracle
-    table kept beside its rows for the table-level criteria."""
+    table kept beside its rows and the oracle's value taken from it."""
     start = time.monotonic()
     records = {}
     for lam, mu, k, values in cli.sweep(family, n, bound, SWEEP_METHODS):
         if lam not in records:
             records[lam] = LambdaRecord(lam=lam, table=branch_oracle(family, n, lam))
-        records[lam].rows[(mu.to_ints(), k)] = values
+        record = records[lam]
+        record.rows[(mu.to_ints(), k)] = {**values, "oracle": record.table.get(mu, k)}
     return SweepData(family, n, bound, time.monotonic() - start, list(records.values()))
 
 
@@ -82,8 +84,12 @@ def _assert_four_way_agreement(sweep: SweepData):
         for (mu, k), _m in record.table.items():
             assert mu in grid_mus and (mu, k) in record.rows
         for (mu, k), row in record.rows.items():
-            # the full sum, the series and the oracle apply at every point
+            # the full sum, the series and the oracle apply at every point,
+            # the reduced sum and the closed form exactly at simple-interlacing ones
             assert None not in (row["kostant-full"], row["tsukamoto"], row["oracle"]), row
+            simple = interlace("simple", sweep.family, record.lam, w(mu))
+            for method in ("kostant-reduced", "closed-form"):
+                assert (row[method] is None) == (not simple), (method, record.lam, mu, k, row)
             values = {v for v in row.values() if v is not None}
             assert len(values) == 1, (sweep.family, record.lam, mu, k, row)
             checked += 1

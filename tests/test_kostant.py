@@ -150,6 +150,7 @@ def test_sorted_orbit_walk_matches_plain_weyl_sum(family, n, bound):
 def test_orbit_and_binding_caches_are_bounded():
     assert kostant._orbit.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
+    # bounds the lams whose rows are kept; each lam's rows grow with its mus
     assert tsukamoto._row.cache_info().maxsize is not None
     assert weights.check_pair.cache_info().maxsize is not None
 
