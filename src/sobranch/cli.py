@@ -100,11 +100,13 @@ def _methods(text: str) -> tuple[str, ...]:
     if text.strip() == "all":
         return tuple(METHODS)
     names = tuple(name.strip() for name in text.split(","))
-    for name in names:
+    for i, name in enumerate(names):
         if name not in METHODS:
             raise argparse.ArgumentTypeError(
                 f"unknown method {name!r}; choose from {', '.join(METHODS)}"
             )
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"method {name!r} is named twice")
     return names
 
 
@@ -207,7 +209,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     check_family_n(args.family, args.n)
     if args.max < 0:
         raise DomainError(f"--max must be non-negative, got {args.max}")
-    if len(set(args.methods)) < 2:
+    if len(args.methods) < 2:
         raise DomainError("verify needs at least two distinct methods to cross-check")
     report = {"family": args.family, "n": args.n, "max": args.max,
               "methods": list(args.methods), "points": 0, "divergence": None}

@@ -8,12 +8,25 @@ target); termination is guaranteed by pruning against an integer linear
 functional phi that is strictly positive on every generator, which exists
 exactly when the generators span a pointed cone.
 
+Two zero tests, both read off the generators alone, cut the recursion:
+
+* Negative functional.  A residual with phi . t < 0 has no partition.
+* Sign support.  A residual that is negative on a coordinate where every
+  generator still to be taken is >= 0 has no partition.  ``support`` lists
+  those coordinates for the whole multiset.  Per generator index the list
+  grows as the remaining suffix of the sorted generators shrinks; a residual
+  negative on one of them counts 0 without a memo entry, and the loop over
+  one generator's multiplicity stops as soon as its residual turns negative
+  on one of them, since taking more of that generator can only lower the
+  coordinate further.
+
 ``partition_function`` binds a generator multiset once: it validates the
-generators, sorts them, finds phi and the per-generator steps phi . g, and
-names the multiset's memo entries by a small integer.  The recursion
-carries phi . target down and subtracts phi . g per generator taken instead
-of recomputing the dot product at every node.  ``count_vector_partitions``
-validates its target and counts with such a binding, given or looked up.
+generators, sorts them, finds phi, the per-generator steps phi . g and the
+sign-support coordinates, and names the multiset's memo entries by a small
+integer.  The recursion carries phi . target down and subtracts phi . g per
+generator taken instead of recomputing the dot product at every node.
+``count_vector_partitions`` validates its target and counts with such a
+binding, given or looked up.
 
 ``count_sigma_prime`` is an independent specialized routine for the paired
 generator family e_i +- e_last: a balance-tracking dynamic program over the
@@ -114,17 +127,26 @@ class PartitionFunction:
     """The partition function of one generator multiset, bound once.
 
     Holds the sorted doubled-integer generators, the positive functional
-    ``phi`` and the per-generator steps ``phi . g``, so a count does none of
-    that work again.  Build one with ``partition_function``.
+    ``phi``, the per-generator steps ``phi . g`` and the sign-support
+    coordinates, so a count does none of that work again.  Build one with
+    ``partition_function``.
     """
 
-    __slots__ = ("gens2", "phi", "steps", "rank", "_ns")
+    __slots__ = ("gens2", "phi", "steps", "rank", "support", "_stops", "_ns")
 
     def __init__(self, gens2: tuple[tuple[int, ...], ...]):
         self.gens2 = gens2
         self.phi = _positive_functional(gens2)
         self.steps = tuple(_dot(self.phi, g) for g in gens2)
         self.rank = len(gens2[0])
+        # _stops[i]: the coordinates on which every generator from index i on
+        # is >= 0; a residual negative on one of them has no partition
+        self._stops = tuple(
+            tuple(c for c in range(self.rank) if all(g[c] >= 0 for g in gens2[i:]))
+            for i in range(len(gens2))
+        )
+        #: the coordinates on which every generator is >= 0
+        self.support = self._stops[0]
         self._ns = next(_namespaces)
 
     def level(self, t2: Sequence[int]) -> int:
@@ -148,13 +170,19 @@ class PartitionFunction:
         hit = _shared_cache.get(key)
         if hit is not None:
             return hit
+        # after the memo lookup, so a hit pays for no sign test
+        stops = self._stops[index]
+        if any(t2[c] < 0 for c in stops):
+            return 0
         g = gens2[index]
         step = self.steps[index]
         total = 0
-        while level >= 0:
+        while True:
             total += self._count(index + 1, t2, level)
             t2 = tuple(a - b for a, b in zip(t2, g))
             level -= step
+            if level < 0 or any(t2[c] < 0 for c in stops):
+                break
         _shared_cache.put(key, total)
         return total
 

@@ -328,6 +328,7 @@ VERIFY = ("verify", "--family", "B", "--n", "2")
         MULT[:-1],
         MULT + ("--methods", "oracle,sorcery"),
         MULT + ("--methods", ""),
+        MULT + ("--methods", "oracle,oracle"),
         ("mult", "--family", "B", "--n", "2", "--lam", "1,x,0", "--mu", "0,0", "--k", "1"),
         ("mult", "--family", "B", "--n", "2", "--lam", "1,0", "--mu", "0,0", "--k", "1"),
         ("mult", "--family", "B", "--n", "2", "--lam", "1,0,0", "--mu", "0,0", "--k", "-1"),
@@ -342,6 +343,7 @@ VERIFY = ("verify", "--family", "B", "--n", "2")
         VERIFY + ("--max", "1", "--format", "csv"),
         VERIFY + ("--max", "1", "--methods", "tsukamoto"),
         VERIFY + ("--max", "1", "--methods", "tsukamoto,tsukamoto"),
+        VERIFY + ("--max", "1", "--methods", "oracle,oracle,kostant-full"),
         ("verify", "--family", "B", "--n", "1", "--max", "1"),
         ("u3so3", "--lam", "1,0,0,0"),
         ("u3so3", "--lam", "0,1,0"),

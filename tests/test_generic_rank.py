@@ -1,7 +1,7 @@
 """Spot sweeps at n=3, where the interior box constraints, the middle
 triple-interlacing inequalities and the longer coincidence patterns are all
-non-vacuous for the first time, and one at n=4, where the full Weyl sum has
-|W(B_5)| = 3840 terms per point."""
+non-vacuous for the first time, and at n=4-5, where the full Weyl sum has
+|W(B_5)| = 3840, |W(D_6)| = 23040 and |W(B_6)| = 46080 terms per point."""
 
 from test_acceptance import (
     _assert_four_way_agreement,
@@ -28,3 +28,11 @@ def test_family_D_at_n3():
 
 def test_family_B_at_n4():
     check_sweep("B", 4, 1)
+
+
+def test_family_D_at_n4():
+    check_sweep("D", 4, 1)
+
+
+def test_family_B_at_n5():
+    check_sweep("B", 5, 1)

@@ -2,7 +2,7 @@ import itertools
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sobranch.errors import DomainError
@@ -215,3 +215,59 @@ def test_bound_partition_function_counts_like_the_generator_list():
     for gens in ([], [w([1, 0]), w([1])], [w([1, 0]), w([0, 0])], [w([1, 0]), w([-1, 0])]):
         with pytest.raises(DomainError):
             partition_function(gens)
+
+
+def _idot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def brute_partitions(gens, phi, target):
+    """Every multiplicity vector m >= 0 with phi . (sum m_i g_i) <= phi .
+    target, enumerated one generator at a time with no memo and no sign
+    test; counts those with sum m_i g_i == target.  ``phi`` must be
+    positive on every generator."""
+
+    def rec(i, residual):
+        if i == len(gens):
+            return int(not any(residual))
+        total = 0
+        while _idot(phi, residual) >= 0:
+            total += rec(i + 1, residual)
+            residual = [a - b for a, b in zip(residual, gens[i])]
+        return total
+
+    return rec(0, list(target))
+
+
+@st.composite
+def pointed_cases(draw):
+    """(phi, generators, targets): up to four generators of rank 1-3 with
+    coordinates in [-2, 2], each positive under phi, so their cone is
+    pointed; coordinates take either sign."""
+    rank = draw(st.integers(1, 3))
+    phi = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).filter(any))
+    vector = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    gens = draw(st.lists(vector.filter(lambda g: _idot(phi, g) > 0), min_size=1, max_size=4))
+    target = st.lists(st.integers(-2, 3), min_size=rank, max_size=rank)
+    return phi, gens, draw(st.lists(target, min_size=1, max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(pointed_cases())
+# mixed-sign coordinates: coordinate 1 takes both signs
+@example(([2, 1], [[1, -1], [1, 1], [0, 1]], [[2, 0], [3, 1], [1, -1], [2, 2]]))
+# sorted, the generators are (0,-1) < (1,0) < (1,1): coordinate 1 is >= 0
+# only on the suffix after the first
+@example(([2, -1], [[1, 1], [0, -1], [1, 0]], [[2, 1], [2, -1], [1, 2], [3, 0], [0, -2]]))
+# targets negative on coordinate 0, where every generator is >= 0
+@example(([1, 0], [[1, 1], [1, -1]], [[-1, 1], [-2, 0], [-1, -1], [2, 0]]))
+def test_count_matches_brute_force_on_pointed_generators(case):
+    phi, gens, targets = case
+    rank = len(phi)
+    support = [c for c in range(rank) if all(g[c] >= 0 for g in gens)]
+    generators = [w(g) for g in gens]
+    for t in targets:
+        expected = brute_partitions(gens, phi, t)
+        assert count_vector_partitions(generators, w(t)) == expected, (gens, t)
+        if any(t[c] < 0 for c in support):
+            assert expected == 0
