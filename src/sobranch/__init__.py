@@ -78,7 +78,6 @@ from .weights import (
     make_root_data,
     restrict,
     tilde,
-    weyl_group,
 )
 
 __version__ = "0.1.0"
@@ -131,6 +130,5 @@ __all__ = [
     "u3_to_so3_oracle",
     "weight_multiplicities",
     "weyl_dim",
-    "weyl_group",
     "xi",
 ]

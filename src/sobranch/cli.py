@@ -35,6 +35,7 @@ from .weights import (
     BranchingQuery,
     Weight,
     check_family_n,
+    check_pair,
     g_rank,
     interlace,
     iter_dominant_weights,
@@ -164,8 +165,9 @@ def _cmd_mult(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace, out) -> int:
-    check_family_n(args.family, args.n)
     lam = Weight.of_ints(args.lam)
+    # mu = 0 is dominant for every subgroup, so this checks family, n and lam
+    check_pair(args.family, args.n, lam, Weight((0,) * args.n))
     if args.methods == "oracle":
         table = branch_oracle(args.family, args.n, lam)
         rows = [_row(mu, k, "oracle", m) for (mu, k), m in table.items()]

@@ -9,13 +9,12 @@ function route and the character oracle is the package's main invariant.
 The full sum does the same exact arithmetic as the textbook loop with less
 repeated work:
 
-* Direct orbit.  lam + rho is regular, so its Weyl orbit is every signed
-  permutation of its coordinates (family D: with an even number of sign
-  changes).  ``_orbit`` builds the restricted, rho-shifted images p as
-  doubled integers straight from those permutations and sign patterns, with
-  each element's sign from the permutation's inversion parity and the flip
-  count, once per (family, n, lam), and keeps them in a small LRU.  A term's
-  ``SignedPermutation`` is built only when the term is yielded.
+* Direct orbit.  lam + rho is regular, so its Weyl orbit is its signed
+  coordinate permutations, one per element.  ``_orbit`` builds the
+  restricted, rho-shifted images p as doubled integers from the permutations
+  and ``weights.sign_patterns`` (zipped in the order it guarantees), each
+  sign from the inversion parity and flip count, once per (family, n, lam)
+  into a small LRU.  A term's ``SignedPermutation`` is built on yield.
 * Functional cut-off.  The orbit is sorted by phi . p, where phi is the
   positive functional of sigma's partition function.  The term of p has
   target p - (mu, 2k), and a target with negative phi has no partition, so
@@ -49,6 +48,7 @@ from .weights import (
     interlace,
     make_root_data,
     restrict,
+    sign_patterns,
 )
 
 # Not called here: perfbench's tracer rebinds this name in this module, so it
@@ -59,31 +59,6 @@ from .weights import weyl_elements  # noqa: F401
 #: Weyl orbits kept, one per (family, n, lam); a verify sweep walks one lam
 #: at a time through all its (mu, k)
 _ORBITS = 8
-
-
-def _sign_patterns(family: str, rank: int) -> list[tuple[int, tuple[int, ...]]]:
-    """((-1) ** flips, flipped image slots) for every sign pattern of the
-    Weyl group, in ``itertools.product`` order over the restricted slots
-    (unflipped before flipped, first slot most significant).  Family D
-    restricts away slot rank - 2 and flips it exactly when that makes the
-    flip count even, so each pattern of the other slots stands for one
-    element.
-
-    The slots are a sorted tuple, not a frozenset: a tuple of ints is
-    untracked by the cycle collector, and so is an orbit point holding only
-    such tuples; one set in every point would keep the whole orbit tracked
-    and more than double its build time."""
-    if family == FAMILY_B:
-        kept = tuple(range(rank))
-    else:
-        kept = tuple(j for j in range(rank) if j != rank - 2)
-    patterns = []
-    for choice in itertools.product((False, True), repeat=len(kept)):
-        flips = {j for j, flipped in zip(kept, choice) if flipped}
-        if family != FAMILY_B and len(flips) % 2:
-            flips.add(rank - 2)
-        patterns.append((-1 if len(flips) % 2 else 1, tuple(sorted(flips))))
-    return patterns
 
 
 @lru_cache(maxsize=_ORBITS)
@@ -100,7 +75,7 @@ def _orbit(
     rank = rd.g_rank
     lam_rho = (lam + rd.rho_g).coords2
     rho_bar = restrict(family, rd.rho_g).coords2
-    patterns = _sign_patterns(family, rank)
+    patterns = sign_patterns(family, rank)
     signed = {1: patterns, -1: [(-sign, flips) for sign, flips in patterns]}
     points: list = []
     for perm in itertools.permutations(range(rank)):

@@ -3,12 +3,17 @@ package: Freudenthal weight multiplicities, alternating Weyl-orbit sums,
 character restriction, and greedy highest-weight stripping over the product
 subgroup.
 
+A weight system expands Freudenthal's dominant multiplicities over each
+dominant weight's orbit: its distinct coordinate arrangements under every
+``weights.sign_patterns``.  Only ``xi`` walks the elements of W.
+
 Algebras are designated by (family, rank) pairs with family 'B' or 'D'; all
 arithmetic is exact on doubled-integer tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .errors import DomainError, InternalInconsistencyError
@@ -25,10 +30,15 @@ from .weights import (
     iter_dominant_weights,
     k_family,
     restrict,
+    sign_patterns,
     weyl_elements,
 )
 
 Algebra = tuple[str, int]
+
+#: weight systems kept, one per (family, rank, lam): a verify sweep needs each
+#: lam's and each stripped subgroup weight's, at most 65 (B n=3 max=3)
+_WEIGHT_SYSTEMS = 128
 
 
 def _check_algebra(algebra: Algebra) -> Algebra:
@@ -161,10 +171,9 @@ def _in_positive_root_span(family: str, d: tuple[int, ...]) -> bool:
     return s_rm2 + d[r - 2] - d[r - 1] >= 0
 
 
-@lru_cache(maxsize=None)
 def _dominant_mults(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Freudenthal's recursion on the dominant weights of the irreducible
-    with highest weight lam (integral, dominant)."""
+    with highest weight lam (integral, dominant); its caller memoises it."""
     roots2 = tuple(a.coords2 for a in algebra_positive_roots(family, rank))
     rho2 = algebra_rho(family, rank).coords2
     lam_ints = tuple(c // 2 for c in lam2)
@@ -210,19 +219,20 @@ def _dominant_mults(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tupl
     return tuple(sorted(mults.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WEIGHT_SYSTEMS)
 def _char_items(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The full weight system with multiplicities, expanded over the Weyl
-    orbits of the dominant weights."""
+    """The full weight system: each dominant weight's multiplicity on its
+    orbit, every sign pattern of every arrangement of its coordinates
+    (distinct dominant weights have disjoint orbits)."""
     out: dict[tuple[int, ...], int] = {}
-    elements = weyl_elements(family, rank)
+    flip_sets = [flips for _, flips in sign_patterns(family, rank)]
     for eta2, m in _dominant_mults(family, rank, lam2):
-        seen = set()
-        for w in elements:
-            img = w.apply2(eta2)
-            if img not in seen:
-                seen.add(img)
-                out[img] = m
+        for arrangement in set(itertools.permutations(eta2)):
+            for flips in flip_sets:
+                img = list(arrangement)
+                for j in flips:
+                    img[j] = -img[j]
+                out[tuple(img)] = m
     return tuple(sorted(out.items()))
 
 

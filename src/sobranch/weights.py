@@ -207,25 +207,39 @@ class SignedPermutation:
         return SignedPermutation(perm, frozenset(flips))
 
 
-def weyl_group(family: str, rank: int) -> Iterator[SignedPermutation]:
-    """Yield every element of the hyperoctahedral group (family B: all sign
-    patterns) or its even-sign-pattern subgroup (family D), exactly once."""
+def sign_patterns(family: str, rank: int) -> list[tuple[int, tuple[int, ...]]]:
+    """((-1) ** flips, flipped slots) for each sign pattern of the Weyl group
+    once, the one definition of W = permutations x sign patterns: all subsets
+    of the slots (family B) or the even-size ones (family D; rank 1 has the
+    identity only), in ``itertools.product`` order over the slots
+    ``restrict`` keeps, unflipped first and first slot most significant.
+    Family D flips its dropped slot rank - 2 exactly when that makes the
+    count even.  Slots are a sorted tuple, not a frozenset: the cycle
+    collector skips tuples of ints, which halves a Kostant orbit's build."""
     check_family(family)
     if rank < 1:
         raise DomainError("rank must be positive")
-    indices = range(rank)
-    for perm in itertools.permutations(indices):
-        for size in range(rank + 1):
-            if family == FAMILY_D and size % 2:
-                continue
-            for subset in itertools.combinations(indices, size):
-                yield SignedPermutation(perm, frozenset(subset))
+    if family == FAMILY_D and rank == 1:
+        return [(1, ())]
+    kept = [j for j in range(rank) if family == FAMILY_B or j != rank - 2]
+    patterns = []
+    for choice in itertools.product((False, True), repeat=len(kept)):
+        flips = {j for j, flipped in zip(kept, choice) if flipped}
+        if family == FAMILY_D and len(flips) % 2:
+            flips.add(rank - 2)
+        patterns.append((-1 if len(flips) % 2 else 1, tuple(sorted(flips))))
+    return patterns
 
 
-@lru_cache(maxsize=None)
+#: whole Weyl groups kept; only ``oracle.xi`` and the tests walk them
+_WEYL_GROUPS = 2
+
+
+@lru_cache(maxsize=_WEYL_GROUPS)
 def weyl_elements(family: str, rank: int) -> tuple[SignedPermutation, ...]:
-    """The full Weyl group as a cached tuple (for repeated sweeps)."""
-    return tuple(weyl_group(family, rank))
+    """Every element of the Weyl group once, as a cached tuple."""
+    flip_sets = [frozenset(flips) for _, flips in sign_patterns(family, rank)]
+    return tuple(SignedPermutation(p, f) for p in itertools.permutations(range(rank)) for f in flip_sets)
 
 
 def is_dominant(family: str, w: Weight) -> bool:

@@ -338,6 +338,9 @@ VERIFY = ("verify", "--family", "B", "--n", "2")
         DECOMPOSE + ("--format", "yaml"),
         ("decompose", "--family", "D", "--n", "0", "--lam", "1,0"),
         ("decompose", "--family", "B", "--n", "2", "--lam", "0,1,0", "--methods", "closed-form"),
+        ("decompose", "--family", "B", "--n", "2", "--lam=-1,-1,-1", "--methods", "closed-form"),
+        ("decompose", "--family", "B", "--n", "2", "--lam=-1,-2", "--methods", "closed-form"),
+        ("decompose", "--family", "D", "--n", "1", "--lam=-1,-1,-1", "--methods", "closed-form"),
         VERIFY + ("--max", "-1"),
         VERIFY + ("--max", "1", "--methods", "kostant-full,sorcery"),
         VERIFY + ("--max", "1", "--format", "csv"),

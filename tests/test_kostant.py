@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from sobranch import cli, kostant, partition, tsukamoto, weights
+from sobranch import cli, kostant, oracle, partition, tsukamoto, weights
 from sobranch.clebsch_gordan import closed_form_B
 from sobranch.errors import DomainError, InterlacingError
 from sobranch.kostant import (
@@ -153,6 +153,10 @@ def test_orbit_and_binding_caches_are_bounded():
     # bounds the lams whose rows are kept; each lam's rows grow with its mus
     assert tsukamoto._row.cache_info().maxsize is not None
     assert weights.check_pair.cache_info().maxsize is not None
+    assert weights.weyl_elements.cache_info().maxsize is not None
+    assert oracle._char_items.cache_info().maxsize is not None
+    # its one caller, _char_items, is memoised on the same key
+    assert not hasattr(oracle._dominant_mults, "cache_info")
 
 
 def test_full_sum_unchanged_under_a_tiny_shared_cache():

@@ -4,6 +4,7 @@ from sobranch.errors import DomainError
 from sobranch.oracle import (
     CharacterMap,
     MultiplicityTable,
+    _dominant_mults,
     branch_oracle as oracle,
     weight_multiplicities,
     weyl_dim,
@@ -14,6 +15,7 @@ from sobranch.weights import (
     Weight,
     algebra_positive_roots,
     algebra_rho,
+    iter_dominant_weights,
     make_root_data,
     weyl_elements,
 )
@@ -48,6 +50,24 @@ def test_weight_multiplicities_weyl_invariance():
     cm = weight_multiplicities(("B", 2), w([2, 1]))
     for om in weyl_elements("B", 2):
         assert cm.transformed(om) == cm
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [("B", r) for r in range(1, 5)] + [("D", r) for r in range(2, 6)],
+    ids=lambda algebra: "%s%d" % algebra,
+)
+def test_weight_systems_match_the_whole_group_expansion(algebra):
+    """Each dominant weight's multiplicity spread over its orbit by applying
+    every element of the Weyl group: zero and repeated coordinates, and
+    family D's negative last coordinate, all occur among these lam."""
+    family, rank = algebra
+    for lam in iter_dominant_weights(family, rank, 2):
+        expected = {}
+        for eta2, m in _dominant_mults(family, rank, lam.coords2):
+            for omega in weyl_elements(family, rank):
+                expected[omega.apply2(eta2)] = m
+        assert weight_multiplicities(algebra, lam) == CharacterMap(expected), lam
 
 
 def test_weight_multiplicities_rejects_bad_input():

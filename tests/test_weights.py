@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +15,9 @@ from sobranch.weights import (
     iter_dominant_weights,
     make_root_data,
     restrict,
+    sign_patterns,
     tilde,
     weyl_elements,
-    weyl_group,
 )
 
 w = Weight.of_ints
@@ -77,15 +79,50 @@ def test_root_data_rejects_small_n():
 
 
 def test_weyl_group_counts_and_uniqueness():
-    b3 = list(weyl_group("B", 3))
+    b3 = list(weyl_elements("B", 3))
     assert len(b3) == 48 and len(set(b3)) == 48
-    d3 = list(weyl_group("D", 3))
+    d3 = list(weyl_elements("D", 3))
     assert len(d3) == 24 and len(set(d3)) == 24
     assert all(len(om.flips) % 2 == 0 for om in d3)
     assert SignedPermutation.identity(3).sign == 1
     assert SignedPermutation.transposition(3, 0, 2).sign == -1
     assert SignedPermutation.reflection(3, 1).sign == -1
     assert SignedPermutation((1, 2, 0), frozenset((0, 2))).sign == 1
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_sign_patterns_match_brute_force(family, rank):
+    patterns = sign_patterns(family, rank)
+    if family == "D" and rank == 1:
+        assert patterns == [(1, ())]
+        return
+    flip_sets = [frozenset(flips) for _, flips in patterns]
+    every = [
+        frozenset(subset)
+        for size in range(rank + 1)
+        for subset in itertools.combinations(range(rank), size)
+        if family == "B" or size % 2 == 0
+    ]
+    assert len(flip_sets) == len(set(flip_sets))
+    assert set(flip_sets) == set(every)
+    assert all(flips == tuple(sorted(flips)) for _, flips in patterns)
+    assert all(sign == (-1) ** len(flips) for sign, flips in patterns)
+    # ``kostant._orbit`` zips the patterns against the product of the signs
+    # of the slots ``restrict`` keeps
+    kept = restrict(family, Weight(tuple(range(rank)))).coords2
+    assert [tuple(j in flips for j in kept) for flips in flip_sets] == list(
+        itertools.product((False, True), repeat=len(kept))
+    )
+
+
+def test_sign_patterns_reject_bad_input():
+    with pytest.raises(DomainError):
+        sign_patterns("A", 2)
+    with pytest.raises(DomainError):
+        sign_patterns("B", 0)
+    with pytest.raises(DomainError):
+        weyl_elements("D", 0)
 
 
 def test_apply_examples():
