@@ -26,7 +26,11 @@ import sys
 from . import partition
 from .clebsch_gordan import closed_form_B, closed_form_D
 from .errors import DomainError, PreconditionError, SobranchError
-from .kostant import multiplicity_kostant_full, multiplicity_kostant_reduced
+from .kostant import multiplicity_kostant_full, reduced_sum
+
+# Not called here: perfbench's tracer rebinds this name in this module, so it
+# stays bound until the benchmark reads library counters instead.
+from .kostant import multiplicity_kostant_reduced  # noqa: F401
 from .oracle import branch_oracle
 from .tsukamoto import multiplicity_tsukamoto
 from .u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle
@@ -63,28 +67,30 @@ def _oracle(q: BranchingQuery, tables: dict) -> int:
     return table.get(q.mu, q.k)
 
 
-def _from_multiset(method: str, q: BranchingQuery, tables: dict, build) -> int | None:
-    """Multiplicity of q.k in the whole SO(3) multiset of (q.lam, q.mu) that
-    ``build()`` returns, built once per pair; None where it does not apply."""
-    multiset = _memo(tables, (method, q.family, q.n, q.lam, q.mu), build)
-    return None if multiset is None else multiset.mult(q.k)
+def _from_pair(method: str, q: BranchingQuery, tables: dict, build) -> int | None:
+    """Multiplicity of q.k in the whole answer of (q.lam, q.mu) that
+    ``build()`` returns (an object with ``mult(k)``), built once per pair;
+    None where it does not apply."""
+    answer = _memo(tables, (method, q.family, q.n, q.lam, q.mu), build)
+    return None if answer is None else answer.mult(q.k)
 
 
 # Method name -> route(query, per-lam tables), in alphabetical order.  A route
 # returns the multiplicity, or None or a PreconditionError where the method
 # does not apply.  The per-lam tables hold each whole answer a route reads k
-# off: the oracle's table of lam, the closed-form and ending multisets per
-# (lam, mu).  The entries look the library functions up in this module's
-# globals at call time rather than capturing them here, so code that rebinds
-# one of them on this module (a tracer, a test injecting a fault) sees every
-# call.
+# off: the oracle's table of lam, and per (lam, mu) the closed-form and ending
+# multisets and the bound reduced sum.  The entries look the library functions
+# up in this module's globals at call time rather than capturing them here, so
+# code that rebinds one of them on this module (a tracer, a test injecting a
+# fault) sees every call.
 METHODS = {
-    "closed-form": lambda q, tables: _from_multiset("closed-form", q, tables, lambda: (
+    "closed-form": lambda q, tables: _from_pair("closed-form", q, tables, lambda: (
         closed_form_B(q.lam, q.mu) if q.family == FAMILY_B else closed_form_D(q.lam, q.mu))),
-    "ending": lambda q, tables: _from_multiset("ending", q, tables, lambda: (
+    "ending": lambda q, tables: _from_pair("ending", q, tables, lambda: (
         ending_B(q.lam, q.mu) if q.family == FAMILY_B else ending_D(q.lam, q.mu))),
     "kostant-full": lambda q, tables: multiplicity_kostant_full(q),
-    "kostant-reduced": lambda q, tables: multiplicity_kostant_reduced(q),
+    "kostant-reduced": lambda q, tables: _from_pair("kostant-reduced", q, tables,
+                                                    lambda: reduced_sum(q)),
     "oracle": _oracle,
     "tsukamoto": lambda q, tables: multiplicity_tsukamoto(q),
 }

@@ -28,7 +28,7 @@ route answers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -60,10 +60,13 @@ class Weight:
     """A vector of exact half-integer coordinates in the epsilon-basis.
 
     ``coords2[i]`` holds twice the i-th coordinate.  Weights compare
-    lexicographically, first coordinate most significant.
+    lexicographically, first coordinate most significant.  The hash is
+    taken once, at construction: a sweep looks the same weights up in its
+    memos at every grid point.
     """
 
     coords2: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.coords2, tuple):
@@ -71,6 +74,10 @@ class Weight:
         for c in self.coords2:
             if not isinstance(c, int):
                 raise DomainError("doubled coordinates must be plain integers")
+        object.__setattr__(self, "_hash", hash(self.coords2))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of_ints(cls, coords: Iterable[int]) -> "Weight":
@@ -134,7 +141,13 @@ class Weight:
         return "(" + ", ".join(parts) + ")"
 
 
-@lru_cache(maxsize=None)
+#: inversion parities kept: 8! = 40,320, every permutation of one rank-8
+#: group (family D, n = 6), so that an orbit build of that rank does not
+#: evict its own entries
+_PARITIES = 40_320
+
+
+@lru_cache(maxsize=_PARITIES)
 def _inversion_parity(perm: tuple[int, ...]) -> int:
     """(-1) ** (number of inversions of perm), memoised: a rank-r Weyl
     group repeats each of its r! permutations over all its sign patterns."""

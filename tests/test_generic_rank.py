@@ -1,8 +1,9 @@
 """Spot sweeps at n=3, where the interior box constraints, the middle
 triple-interlacing inequalities and the longer coincidence patterns are all
-non-vacuous for the first time, and at n=4-5, where the full Weyl sum has
-|W(B_5)| = 3840, |W(D_6)| = 23040, |W(B_6)| = 46080 and |W(D_7)| = 322560
-terms per point."""
+non-vacuous for the first time, and at n=4-6, where the full Weyl sum has
+|W(B_5)| = 3840, |W(D_6)| = 23040, |W(B_6)| = 46080, |W(D_7)| = 322560 and
+|W(B_7)| = 645120 terms per point.  The Kostant orbit keeps only the points
+a dominant mu can use, so these run in seconds and small memory."""
 
 from test_acceptance import (
     _assert_four_way_agreement,
@@ -41,3 +42,7 @@ def test_family_B_at_n5():
 
 def test_family_D_at_n5():
     check_sweep("D", 5, 1)
+
+
+def test_family_B_at_n6():
+    check_sweep("B", 6, 1)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from sobranch.kostant import (
     multiplicity_kostant_full,
     multiplicity_kostant_reduced,
 )
-from sobranch.partition import count_vector_partitions, shared_cache
+from sobranch.partition import count_vector_partitions, partition_function, shared_cache
 from sobranch.weights import (
     SignedPermutation,
     Weight,
@@ -147,6 +148,36 @@ def test_sorted_orbit_walk_matches_plain_weyl_sum(family, n, bound):
     assert (negative_last > 0) == (family == "D")
 
 
+def usable_points(family, n, lam):
+    """(level, p, perm, (sign, flips)) from every element of W whose
+    restricted rho-shifted image p is >= 0 on the head slots where every
+    subgroup-dominant mu is >= 0: slots 0..n-2 under family B (mu_n may be
+    negative), all n head slots under family D."""
+    rd = make_root_data(family, n)
+    phi = partition_function(rd.sigma).phi
+    floor = range(n - 1) if family == "B" else range(n)
+    points = []
+    for omega in weyl_elements(family, rd.g_rank):
+        p = restrict(family, omega.apply(lam + rd.rho_g) - rd.rho_g).coords2
+        if all(p[c] >= 0 for c in floor):
+            level = sum(f * a for f, a in zip(phi, p))
+            points.append((level, p, omega.perm, (omega.sign, tuple(sorted(omega.flips)))))
+    return points
+
+
+@pytest.mark.parametrize("family, n", [("B", 2), ("B", 3), ("D", 1), ("D", 2), ("D", 3)])
+def test_orbit_is_exactly_the_usable_points(family, n):
+    rank = make_root_data(family, n).g_rank
+    lams = list(iter_dominant_weights(family, rank, 1))
+    lams += list(iter_dominant_weights(family, rank, 2))[:2]
+    assert (family == "D") == any(lam.coords2[-1] < 0 for lam in lams)
+    for lam in lams:
+        orbit = kostant._orbit(family, n, lam)
+        assert Counter(orbit) == Counter(usable_points(family, n, lam)), lam
+        levels = [point[0] for point in orbit]
+        assert levels == sorted(levels, reverse=True)
+
+
 def test_orbit_and_binding_caches_are_bounded():
     assert kostant._orbit.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
@@ -154,6 +185,8 @@ def test_orbit_and_binding_caches_are_bounded():
     assert tsukamoto._row.cache_info().maxsize is not None
     assert weights.check_pair.cache_info().maxsize is not None
     assert weights.weyl_elements.cache_info().maxsize is not None
+    # one whole rank-8 group of permutations
+    assert weights._inversion_parity.cache_info().maxsize == math.factorial(8)
     assert oracle._char_items.cache_info().maxsize is not None
     # its one caller, _char_items, is memoised on the same key
     assert not hasattr(oracle._dominant_mults, "cache_info")
