@@ -19,16 +19,19 @@ repeated work:
 * Head floor.  Every query's mu is dominant for the subgroup, so it is >= 0
   on the head slots ``_floor_slots`` names, which lie in sigma's sign
   support (below).  A point p negative on one of them fails the support
-  test of every query, so ``_orbit`` never builds it: a permutation that
-  leaves a floor slot negative under both signs is skipped, and each slot's
-  two signs are filtered before the product over slots.  The orbit keeps
-  only the points some query can use, a small part of |W| at n >= 4 (4 of
-  322,560 for lam = (1, 0, ..., 0) at family D, n = 5).
+  test of every query, so ``_orbit`` never builds it: ``_placements`` puts
+  lam + rho's coordinates into the floor slots one slot at a time and drops
+  a partial placement as soon as a slot can only go negative, and each
+  slot's two signs are filtered before the product over slots.  The orbit
+  keeps only the points some query can use, a small part of |W| at n >= 4
+  (4 of 322,560 for lam = (1, 0, ..., 0) at family D, n = 5), and its build
+  grows with them, not with the (n+1)! permutations.
 * Functional cut-off.  The orbit is sorted by phi . p, where phi is the
   positive functional of sigma's partition function.  The term of p has
   target p - (mu, 2k), and a target with negative phi has no partition, so
-  the walk stops at the first p below phi . (mu, 2k).  That is the
-  evaluator's first zero test, made once per query instead of once per term.
+  the per-k walk ``kostant_terms`` stops at the first p below
+  phi . (mu, 2k).  That is the evaluator's first zero test, made once per
+  query instead of once per term.
 * Sign-support skip.  A target negative on a coordinate where every
   generator of sigma is >= 0 (sigma's support: the n head coordinates) has
   no partition.  That is the evaluator's second zero test; the walk makes
@@ -37,6 +40,14 @@ repeated work:
   its generators are validated and sorted, and phi and the support found,
   once per root system and looked up once per query, not once per
   partition count.
+* Whole row.  ``full_sum`` binds the sum of one (lam, mu) pair for every k,
+  the counterpart of ``reduced_sum``: one walk of lam's orbit, the support
+  test once per point (it reads only the head slots, so no k), and points
+  with equal (head target, last coordinate) merged by adding their signs
+  (family D's restricted images come in equal-signed duplicates).  Each
+  term keeps sigma's ``PartitionFunction.row`` of its head target, so
+  ``mult(k)`` is a sum of row lookups at the last coordinate p_last - 2k.
+  ``kostant_terms`` stays the per-term view that the tests compare with.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .errors import InterlacingError, InternalInconsistencyError
-from .partition import PartitionFunction, count_vector_partitions, partition_function
+from .partition import PartitionFunction, Row, count_vector_partitions, partition_function
 from .weights import (
     FAMILY_B,
     BranchingQuery,
@@ -84,6 +95,35 @@ def _floor_slots(family: str, n: int, support: tuple[int, ...]) -> tuple[int, ..
     return tuple(c for c in support if c < heads)
 
 
+def _placements(values: tuple[int, ...], needs: dict[int, int]) -> Iterator[tuple[int, ...]]:
+    """Every permutation perm (coordinate i goes to slot perm[i]) that puts
+    into each slot s of ``needs`` a coordinate with |values[i]| >= needs[s].
+    The slots of ``needs`` are filled first, one at a time in their order,
+    and a partial placement ends as soon as the next one has no candidate;
+    the other coordinates then fill the other slots in every order."""
+    rank = len(values)
+    needy = list(needs)
+    free = [s for s in range(rank) if s not in needs]
+
+    def fill(chosen: list[int]) -> Iterator[tuple[int, ...]]:
+        if len(chosen) == len(needy):
+            rest = [i for i in range(rank) if i not in chosen]
+            for order in itertools.permutations(rest):
+                perm = [0] * rank
+                for i, s in zip(chosen, needy):
+                    perm[i] = s
+                for i, s in zip(order, free):
+                    perm[i] = s
+                yield tuple(perm)
+            return
+        need = needs[needy[len(chosen)]]
+        for i in range(rank):
+            if i not in chosen and abs(values[i]) >= need:
+                yield from fill(chosen + [i])
+
+    return fill([])
+
+
 @lru_cache(maxsize=_ORBITS)
 def _orbit(
     family: str, n: int, lam: Weight
@@ -108,8 +148,10 @@ def _orbit(
     # restrict keeps coordinates, so restricting the slot numbers names the
     # ambient slot behind each restricted one
     kept = restrict(family, Weight(tuple(range(rank)))).coords2
+    # a floor slot holding |c| < r is negative under both signs
+    needs = {kept[j]: rho_bar[j] for j in floor}
     points: list = []
-    for perm in itertools.permutations(range(rank)):
+    for perm in _placements(lam_rho, needs):
         # omega puts coordinate i of lam + rho in slot perm[i], then negates
         # the flipped slots; restrict is linear, so p is the restricted
         # signed image minus the restriction of rho
@@ -117,9 +159,6 @@ def _orbit(
         for i, j in enumerate(perm):
             image[j] = lam_rho[i]
         image = [image[j] for j in kept]
-        # a floor slot with |c| < r is negative under both signs
-        if any(abs(image[j]) < rho_bar[j] for j in floor):
-            continue
         # each slot's (flip bit, coordinate of p) choices, unflipped first; a
         # floor slot keeps only the non-negative ones
         choices = [
@@ -162,19 +201,53 @@ def kostant_terms(q: BranchingQuery) -> Iterator[tuple[SignedPermutation, int, i
             yield SignedPermutation(perm, frozenset(flips)), sign, value
 
 
+class FullSum:
+    """Kostant's full alternating sum of one (lam, mu) pair, bound once:
+    ``mult(k)`` evaluates it at k.  Each term is a sign (the summed signs of
+    the orbit points it merges), the doubled last coordinate p_last of those
+    points, and sigma's row at their head target p_head - mu.  Build one
+    with ``full_sum``."""
+
+    __slots__ = ("query", "_terms")
+
+    def __init__(self, query: BranchingQuery, terms: tuple[tuple[int, int, Row], ...]):
+        self.query = query
+        self._terms = terms
+
+    def mult(self, k: int) -> int:
+        """Multiplicity of the (2k+1)-dimensional SO(3) irreducible."""
+        k2 = 2 * k
+        total = sum(sign * row[p_last - k2] for sign, p_last, row in self._terms)
+        if total < 0:
+            q = self.query
+            raise InternalInconsistencyError(
+                f"negative alternating sum {total} for family {q.family}, n={q.n}, "
+                f"lam={q.lam}, mu={q.mu}, k={k}"
+            )
+        return total
+
+
+def full_sum(q: BranchingQuery) -> FullSum:
+    """Kostant's full alternating Weyl sum of q's (lam, mu), bound for every
+    k and evaluated exactly.  The only pruning is the partition function's
+    own sign-support test: a point below mu on sigma's support (the head
+    slots) has a zero term at every k, so the walk skips it."""
+    sigma = partition_function(make_root_data(q.family, q.n).sigma)
+    mu2 = q.mu.coords2
+    signs: dict = {}
+    for _, p, _, (sign, _) in _orbit(q.family, q.n, q.lam):
+        if any(p[c] < mu2[c] for c in sigma.support):
+            continue
+        # mu has no last slot, so the zip is over the head
+        key = (tuple(a - b for a, b in zip(p, mu2)), p[-1])
+        signs[key] = signs.get(key, 0) + sign
+    terms = tuple((sign, p_last, sigma.row(head)) for (head, p_last), sign in signs.items())
+    return FullSum(q, terms)
+
+
 def multiplicity_kostant_full(q: BranchingQuery) -> int:
-    """Kostant's full alternating Weyl sum, evaluated exactly, with no
-    pruning beyond the partition function's own two zero tests: a term whose
-    target has negative positive functional is 0, so the walk down lam's
-    orbit, sorted by that functional, stops at the first such term; and a
-    term whose target is negative on a coordinate where every generator is
-    >= 0 is 0, so the walk skips it."""
-    total = sum(sign * value for _, sign, value in kostant_terms(q))
-    if total < 0:
-        raise InternalInconsistencyError(
-            f"negative alternating sum {total} for {q}"
-        )
-    return total
+    """The full alternating sum of q's pair at q.k."""
+    return full_sum(q).mult(q.k)
 
 
 class ReducedSum:

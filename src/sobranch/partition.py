@@ -28,6 +28,18 @@ generator taken instead of recomputing the dot product at every node.
 ``count_vector_partitions`` validates its target and counts with such a
 binding, given or looked up.
 
+Whole row.  ``PartitionFunction.row(head)`` counts every target (head, last)
+at once and returns the counts by last coordinate.  It is a memo DP over
+(generator index, head residual) whose entries are histograms last -> count,
+pruned like the scalar count: a head functional psi, positive on every
+non-zero head projection, bounds the residual, and a residual negative on a
+coordinate where every remaining generator is >= 0, or non-zero on one where
+every remaining generator is 0, has an empty histogram.  A generator whose
+head projection is zero (family D's -e_last) does not enter the DP; it is
+applied afterwards as a 1-D count over the last coordinate, a same-residue
+suffix (or prefix) sum.  Rows and their histograms live in the shared cache
+under the binding's namespace.
+
 ``count_sigma_prime`` is an independent specialized routine for the paired
 generator family e_i +- e_last: a balance-tracking dynamic program over the
 first n coordinates.
@@ -56,9 +68,10 @@ _BOUND_FUNCTIONS = 16
 class PartitionCache:
     """Bounded memo for partition counts.
 
-    Entries are pure (index, residual) -> count facts, so the cache never
-    changes results; overflow evicts the whole cache.  A lock guards lookups
-    and inserts so the cache may be shared across threads.
+    Entries are pure facts, (index, residual) -> count or -> a row's
+    histogram, so the cache never changes results; overflow evicts the
+    whole cache.  A lock guards lookups and inserts so the cache may be
+    shared across threads.
     """
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES):
@@ -132,7 +145,7 @@ class PartitionFunction:
     ``partition_function``.
     """
 
-    __slots__ = ("gens2", "phi", "steps", "rank", "support", "_stops", "_ns")
+    __slots__ = ("gens2", "phi", "steps", "rank", "support", "_stops", "_ns", "_row_plan")
 
     def __init__(self, gens2: tuple[tuple[int, ...], ...]):
         self.gens2 = gens2
@@ -148,6 +161,7 @@ class PartitionFunction:
         #: the coordinates on which every generator is >= 0
         self.support = self._stops[0]
         self._ns = next(_namespaces)
+        self._row_plan = None
 
     def level(self, t2: Sequence[int]) -> int:
         """The positive functional at a doubled-integer vector; a target
@@ -185,6 +199,121 @@ class PartitionFunction:
                 break
         _shared_cache.put(key, total)
         return total
+
+    def row(self, head: tuple[int, ...]) -> "Row":
+        """The partition counts of the doubled-integer targets (head, last)
+        for every last, as a ``Row``: ``row(head)[last] == count(head +
+        (last,))``.  Raises DomainError where the non-zero head projections
+        of the generators do not span a pointed cone, or more than one
+        generator has a zero head projection."""
+        _, psi, _, _, _, zero_step = self._row_plan or self._plan_rows()
+        # a head is one coordinate shorter than a count's target, so head
+        # entries never share a key with count entries
+        key = (self._ns, -1, head)
+        row = _shared_cache.get(key)
+        if row is None:
+            level = _dot(psi, head)
+            row = Row(self._hist(0, head, level) if level >= 0 else {}, zero_step)
+            _shared_cache.put(key, row)
+        return row
+
+    def _plan_rows(self) -> tuple:
+        """What every row DP of this multiset reads, built on the first
+        ``row``: the generators with a non-zero head projection as (head,
+        last); psi, an integer functional positive on each of those heads;
+        psi . head per generator; per index, the head coordinates where
+        every generator from there on is >= 0 (a residual negative there has
+        no partition) and those where every one is 0 (a residual non-zero
+        there has none); and the last coordinate of the one generator with
+        a zero head, or 0."""
+        split = [(g[:-1], g[-1]) for g in self.gens2]
+        moving = tuple((h, last) for h, last in split if any(h))
+        zero = [last for h, last in split if not any(h)]
+        if len(zero) > 1:
+            raise DomainError("a row applies at most one generator with a zero head projection")
+        heads = tuple(h for h, _ in moving)
+        try:
+            psi = _positive_functional(heads) if heads else (0,) * (self.rank - 1)
+        except DomainError:
+            raise DomainError(
+                "the non-zero head projections do not span a pointed cone; "
+                "a row over the last coordinate is not finite"
+            ) from None
+        coords = range(self.rank - 1)
+        suffixes = [heads[i:] for i in range(len(heads))]
+        plan = (
+            moving,
+            psi,
+            tuple(_dot(psi, h) for h in heads),
+            tuple(tuple(c for c in coords if all(h[c] >= 0 for h in rest)) for rest in suffixes),
+            tuple(tuple(c for c in coords if not any(h[c] for h in rest)) for rest in suffixes),
+            zero[0] if zero else 0,
+        )
+        self._row_plan = plan
+        return plan
+
+    def _hist(self, index: int, head: tuple[int, ...], level: int) -> dict:
+        # last -> count over the non-zero-head generators from index on;
+        # level is psi . head >= 0 and drops by psi . g per generator taken
+        moving, _, steps, stops, dead, _ = self._row_plan
+        if index == len(moving):
+            return _EMPTY if any(head) else _UNIT
+        key = (self._ns, index, head)
+        hit = _shared_cache.get(key)
+        if hit is not None:
+            return hit
+        stop = stops[index]
+        if any(head[c] < 0 for c in stop) or any(head[c] for c in dead[index]):
+            return _EMPTY
+        g, g_last = moving[index]
+        step = steps[index]
+        out: dict = {}
+        shift = 0
+        while True:
+            for last, ways in self._hist(index + 1, head, level).items():
+                out[last + shift] = out.get(last + shift, 0) + ways
+            head = tuple(a - b for a, b in zip(head, g))
+            level -= step
+            shift += g_last
+            if level < 0 or any(head[c] < 0 for c in stop):
+                break
+        _shared_cache.put(key, out)
+        return out
+
+
+_EMPTY: dict = {}
+_UNIT = {0: 1}
+
+
+class Row(dict):
+    """Partition counts of one head target by last coordinate: ``row[last]``
+    is the count of (head, last) for any integer ``last``.  Holds the counts
+    on the histogram's span; past its open end (the side a zero-head step
+    moves toward) a count repeats with period |step|, and past the other
+    end it is 0.  Built by ``PartitionFunction.row``; never mutated."""
+
+    __slots__ = ("_step", "_edge")
+
+    def __init__(self, hist: dict, step: int):
+        super().__init__()
+        self._step = step
+        self._edge = None  # the open end, where there is one
+        if not step or not hist:
+            self.update(hist)
+            return
+        # a zero-head step c adds to the count at last those at last - c,
+        # last - 2c, ...: a running sum over the span, from the end that c
+        # points away from to the open end
+        lo, hi = min(hist), max(hist)
+        self._edge = lo if step < 0 else hi
+        for last in (range(hi, lo - 1, -1) if step < 0 else range(lo, hi + 1)):
+            self[last] = hist.get(last, 0) + self.get(last - step, 0)
+
+    def __missing__(self, last: int) -> int:
+        edge = self._edge
+        if edge is not None and (last - edge) * self._step > 0:
+            return self[edge - (edge - last) % self._step]
+        return 0
 
 
 @lru_cache(maxsize=_BOUND_FUNCTIONS)

@@ -178,6 +178,26 @@ def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
                      "tsukamoto_generating_function": pairs}
 
 
+def test_verify_builds_each_full_sum_once_per_pair(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, (cli, "full_sum"), (cli, "multiplicity_kostant_full"))
+    code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
+                       "--methods", "all")
+    assert code == 0
+    assert out.startswith("OK family=B n=2 max=2: 360 grid points agree across ")
+    pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
+    assert calls == {"full_sum": pairs}
+
+
+def test_full_sum_probe_at_n9_builds_only_the_usable_orbit(capsys):
+    # |W(B_10)| is about 3.7e9; the orbit keeps a handful of points, and its
+    # build places lam + rho slot by slot instead of trying 10! permutations
+    n = 9
+    code, out, _ = run(capsys, "mult", "--family", "B", "--n", str(n),
+                       "--lam", ",".join(["1"] + ["0"] * n), "--mu", ",".join(["0"] * n),
+                       "--k", "1", "--methods", "kostant-full")
+    assert (code, out) == (0, f"mu={','.join(['0'] * n)} k=1   kostant-full    1\n")
+
+
 def test_verify_builds_each_family_D_series_once(capsys, monkeypatch):
     # the D grid meets lam and tilde(lam) back to back; the Tsukamoto route
     # tilde-normalizes lam, so the partner's series are the ones just built

@@ -32,6 +32,10 @@ def test_family_B_at_n4():
     check_sweep("B", 4, 1)
 
 
+def test_family_B_at_n4_max2():
+    check_sweep("B", 4, 2)
+
+
 def test_family_D_at_n4():
     check_sweep("D", 4, 1)
 

@@ -8,6 +8,7 @@ from sobranch.clebsch_gordan import closed_form_B
 from sobranch.errors import DomainError, InterlacingError
 from sobranch.kostant import (
     BranchingQuery,
+    full_sum,
     kostant_terms,
     multiplicity_kostant_full,
     multiplicity_kostant_reduced,
@@ -139,13 +140,26 @@ def reference_terms(q):
             yield omega, omega.sign, value
 
 
-@pytest.mark.parametrize("family, n, bound", [("B", 2, 3), ("B", 3, 1), ("D", 1, 3), ("D", 3, 1)])
+ORBIT_GRIDS = [("B", 2, 3), ("B", 3, 1), ("D", 1, 3), ("D", 3, 1)]
+
+
+@pytest.mark.parametrize("family, n, bound", ORBIT_GRIDS)
 def test_sorted_orbit_walk_matches_plain_weyl_sum(family, n, bound):
     negative_last = 0
     for q in grid_queries(family, n, bound):
         negative_last += q.lam.coords2[-1] < 0
         assert Counter(kostant_terms(q)) == Counter(reference_terms(q)), q
     assert (negative_last > 0) == (family == "D")
+
+
+@pytest.mark.parametrize("family, n, bound", ORBIT_GRIDS)
+def test_full_sum_matches_the_signed_terms(family, n, bound):
+    for lam, mu in dict.fromkeys((lam, mu) for lam, mu, _ in cli._grid(family, n, bound)):
+        whole = full_sum(BranchingQuery(family, n, lam, mu, 0))
+        k_top = sum(abs(c) for c in lam.to_ints())
+        for k in range(k_top + 4):
+            q = BranchingQuery(family, n, lam, mu, k)
+            assert whole.mult(k) == sum(sign * value for _, sign, value in kostant_terms(q)), q
 
 
 def usable_points(family, n, lam):

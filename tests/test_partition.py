@@ -217,6 +217,48 @@ def test_bound_partition_function_counts_like_the_generator_list():
             partition_function(gens)
 
 
+def assert_rows_match_counts(bound, heads, lasts):
+    for head in heads:
+        row = bound.row(head)
+        for last in lasts:
+            assert row[last] == bound.count(head + (last,)), (head, last)
+
+
+@pytest.mark.parametrize("family, n", [("B", 2), ("B", 3), ("B", 4),
+                                       ("D", 1), ("D", 2), ("D", 3), ("D", 4)])
+def test_row_matches_the_scalar_count_on_sigma(family, n):
+    bound = partition_function(make_root_data(family, n).sigma)
+    top = 2 if n < 4 else 1
+    heads = [tuple(2 * c for c in coords)
+             for coords in itertools.product(range(-1, top + 1), repeat=n)]
+    # a head of coordinate sum s reaches last coordinates -s..s: the box runs
+    # past both ends, where family D's suffix sum (-e_last) is not 0
+    reach = 2 * (n * top + 3)
+    assert_rows_match_counts(bound, heads, range(-reach, reach + 1))
+    if family == "D":
+        assert bound.row((2,) * n)[-reach] > 0
+
+
+@pytest.mark.parametrize("step", [3, -1])
+def test_row_applies_a_zero_head_generator_of_either_sign(step):
+    gens = [w([1, 0, 3]), w([0, 1, -1]), w([1, 1, 0]), w([0, 0, step])]
+    bound = partition_function(gens)
+    heads = [tuple(2 * c for c in coords) for coords in itertools.product(range(-1, 4), repeat=2)]
+    assert_rows_match_counts(bound, heads, range(-30, 31))
+    assert bound.row((2, 2))[30 if step > 0 else -30] > 0
+
+
+def test_row_refuses_multisets_it_cannot_serve():
+    # pointed (phi = (0, 1)), but the head projections 1 and -1 are not
+    hourglass = partition_function([w([1, 1]), w([-1, 1])])
+    assert hourglass.count((0, 4)) == 1  # (0, 2) = (1, 1) + (-1, 1)
+    with pytest.raises(DomainError):
+        hourglass.row((0,))
+    # two generators with a zero head projection
+    with pytest.raises(DomainError):
+        partition_function([w([1, 0]), w([0, 1]), w([0, 2])]).row((2,))
+
+
 def _idot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
