@@ -15,7 +15,7 @@ repeated work:
   and ``weights.sign_patterns`` (each point takes its pattern by its index in
   the order that function guarantees), each sign from the inversion parity
   and flip count, once per (family, n, lam) into a small LRU.  A term's
-  ``SignedPermutation`` is built on yield.
+  ``SignedPermutation`` is built once, when its pair is bound.
 * Head floor.  Every query's mu is dominant for the subgroup, so it is >= 0
   on the head slots ``_floor_slots`` names, which lie in sigma's sign
   support (below).  A point p negative on one of them fails the support
@@ -26,28 +26,22 @@ repeated work:
   keeps only the points some query can use, a small part of |W| at n >= 4
   (4 of 322,560 for lam = (1, 0, ..., 0) at family D, n = 5), and its build
   grows with them, not with the (n+1)! permutations.
-* Functional cut-off.  The orbit is sorted by phi . p, where phi is the
-  positive functional of sigma's partition function.  The term of p has
-  target p - (mu, 2k), and a target with negative phi has no partition, so
-  the per-k walk ``kostant_terms`` stops at the first p below
-  phi . (mu, 2k).  That is the evaluator's first zero test, made once per
-  query instead of once per term.
 * Sign-support skip.  A target negative on a coordinate where every
   generator of sigma is >= 0 (sigma's support: the n head coordinates) has
-  no partition.  That is the evaluator's second zero test; the walk makes
-  it before counting and skips such p.
+  no partition.  That is the evaluator's zero test on the head; it reads no
+  k, so the walk makes it once per (lam, mu) and drops such p.
 * Bound evaluator.  Both paths count with sigma's ``PartitionFunction``:
   its generators are validated and sorted, and phi and the support found,
   once per root system and looked up once per query, not once per
   partition count.
-* Whole row.  ``full_sum`` binds the sum of one (lam, mu) pair for every k,
-  the counterpart of ``reduced_sum``: one walk of lam's orbit, the support
-  test once per point (it reads only the head slots, so no k), and points
-  with equal (head target, last coordinate) merged by adding their signs
-  (family D's restricted images come in equal-signed duplicates).  Each
-  term keeps sigma's ``PartitionFunction.row`` of its head target, so
-  ``mult(k)`` is a sum of row lookups at the last coordinate p_last - 2k.
-  ``kostant_terms`` stays the per-term view that the tests compare with.
+* Whole row.  ``_pair_terms`` binds the terms of one (lam, mu) pair for
+  every k, the counterpart of ``reduced_sum``, into a small LRU: one walk
+  of lam's orbit, the support test once per point, and per kept point
+  sigma's ``PartitionFunction.row`` of its head target p_head - mu, the
+  counts by last coordinate.  ``kostant_terms`` then reads each term at k
+  as one row lookup at p_last - 2k; a row is 0 past its span, so the walk
+  needs no cut-off by phi.  A verify sweep asks for every k of a pair back
+  to back, so each pair is bound once.
 """
 
 from __future__ import annotations
@@ -88,7 +82,7 @@ def _floor_slots(family: str, n: int, support: tuple[int, ...]) -> tuple[int, ..
     Every query's mu is dominant for the subgroup K, because
     ``BranchingQuery`` runs ``check_pair``: under family B (K = D_n) mu is
     >= 0 on head slots 0..n-2 and only its last slot may be negative; under
-    family D (K = B_n) it is >= 0 on all n head slots.  ``kostant_terms``
+    family D (K = B_n) it is >= 0 on all n head slots.  ``_pair_terms``
     skips a point p with p[c] < mu[c] on a support slot c, so a p negative
     on a support slot where mu is >= 0 is skipped by every query."""
     heads = n - 1 if family == FAMILY_B else n
@@ -176,78 +170,54 @@ def _orbit(
     return tuple(points)
 
 
-def kostant_terms(q: BranchingQuery) -> Iterator[tuple[SignedPermutation, int, int]]:
-    """Yield (omega, sign, partition count) for every Weyl group element
-    whose term in the alternating sum is non-zero.
-
-    A term's target p - (mu, 2k) lies at level phi . p - phi . (mu, 2k), and
-    a target below level 0 has no partition, so the walk down the sorted
-    orbit stops at the first point below phi . (mu, 2k): every term after it
-    is 0.  A target negative on a coordinate of sigma's sign support has no
-    partition either, so the walk skips it without counting.
-    """
-    sigma = partition_function(make_root_data(q.family, q.n).sigma)
-    mu_ext = q.mu.coords2 + (2 * q.k,)
-    cutoff = sigma.level(mu_ext)
-    support = sigma.support
-    for level, p, perm, (sign, flips) in _orbit(q.family, q.n, q.lam):
-        if level < cutoff:
-            break
-        if any(p[c] < mu_ext[c] for c in support):
-            continue
-        target = Weight(tuple(a - b for a, b in zip(p, mu_ext)))
-        value = count_vector_partitions(sigma, target)
-        if value:
-            yield SignedPermutation(perm, frozenset(flips)), sign, value
+#: bound pairs kept, one per (family, n, lam, mu); a verify sweep asks for
+#: every k of one pair back to back.  A kept pair holds its rows even after
+#: the partition cache evicts them.
+_PAIRS = 64
 
 
-class FullSum:
-    """Kostant's full alternating sum of one (lam, mu) pair, bound once:
-    ``mult(k)`` evaluates it at k.  Each term is a sign (the summed signs of
-    the orbit points it merges), the doubled last coordinate p_last of those
-    points, and sigma's row at their head target p_head - mu.  Build one
-    with ``full_sum``."""
-
-    __slots__ = ("query", "_terms")
-
-    def __init__(self, query: BranchingQuery, terms: tuple[tuple[int, int, Row], ...]):
-        self.query = query
-        self._terms = terms
-
-    def mult(self, k: int) -> int:
-        """Multiplicity of the (2k+1)-dimensional SO(3) irreducible."""
-        k2 = 2 * k
-        total = sum(sign * row[p_last - k2] for sign, p_last, row in self._terms)
-        if total < 0:
-            q = self.query
-            raise InternalInconsistencyError(
-                f"negative alternating sum {total} for family {q.family}, n={q.n}, "
-                f"lam={q.lam}, mu={q.mu}, k={k}"
-            )
-        return total
-
-
-def full_sum(q: BranchingQuery) -> FullSum:
-    """Kostant's full alternating Weyl sum of q's (lam, mu), bound for every
-    k and evaluated exactly.  The only pruning is the partition function's
-    own sign-support test: a point below mu on sigma's support (the head
-    slots) has a zero term at every k, so the walk skips it."""
-    sigma = partition_function(make_root_data(q.family, q.n).sigma)
-    mu2 = q.mu.coords2
-    signs: dict = {}
-    for _, p, _, (sign, _) in _orbit(q.family, q.n, q.lam):
+@lru_cache(maxsize=_PAIRS)
+def _pair_terms(
+    family: str, n: int, lam: Weight, mu: Weight
+) -> tuple[tuple[SignedPermutation, int, int, Row], ...]:
+    """(omega, sign, p_last, row) for every point p of lam's orbit that
+    passes mu's support test, in the orbit's order: p_last is p's doubled
+    last coordinate and row sigma's ``PartitionFunction.row`` of the head
+    target p_head - mu, so the term of omega at k is row[p_last - 2k]."""
+    sigma = partition_function(make_root_data(family, n).sigma)
+    mu2 = mu.coords2
+    terms = []
+    for _, p, perm, (sign, flips) in _orbit(family, n, lam):
         if any(p[c] < mu2[c] for c in sigma.support):
             continue
         # mu has no last slot, so the zip is over the head
-        key = (tuple(a - b for a, b in zip(p, mu2)), p[-1])
-        signs[key] = signs.get(key, 0) + sign
-    terms = tuple((sign, p_last, sigma.row(head)) for (head, p_last), sign in signs.items())
-    return FullSum(q, terms)
+        head = tuple(a - b for a, b in zip(p, mu2))
+        terms.append((SignedPermutation(perm, frozenset(flips)), sign, p[-1], sigma.row(head)))
+    return tuple(terms)
+
+
+def kostant_terms(q: BranchingQuery) -> Iterator[tuple[SignedPermutation, int, int]]:
+    """Yield (omega, sign, partition count) for every Weyl group element
+    whose term in the alternating sum is non-zero, read off the bound terms
+    of q's (lam, mu) at the last coordinate p_last - 2k."""
+    k2 = 2 * q.k
+    for omega, sign, p_last, row in _pair_terms(q.family, q.n, q.lam, q.mu):
+        value = row[p_last - k2]
+        if value:
+            yield omega, sign, value
 
 
 def multiplicity_kostant_full(q: BranchingQuery) -> int:
-    """The full alternating sum of q's pair at q.k."""
-    return full_sum(q).mult(q.k)
+    """Kostant's full alternating Weyl sum, evaluated exactly, with no
+    pruning beyond the partition function's own zero tests: a point whose
+    head target is negative on a coordinate where every generator is >= 0
+    has a zero term at every k, so the pair's binding drops it."""
+    total = sum(sign * value for _, sign, value in kostant_terms(q))
+    if total < 0:
+        raise InternalInconsistencyError(
+            f"negative alternating sum {total} for {q}"
+        )
+    return total
 
 
 class ReducedSum:

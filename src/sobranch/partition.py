@@ -35,10 +35,12 @@ pruned like the scalar count: a head functional psi, positive on every
 non-zero head projection, bounds the residual, and a residual negative on a
 coordinate where every remaining generator is >= 0, or non-zero on one where
 every remaining generator is 0, has an empty histogram.  A generator whose
-head projection is zero (family D's -e_last) does not enter the DP; it is
-applied afterwards as a 1-D count over the last coordinate, a same-residue
-suffix (or prefix) sum.  Rows and their histograms live in the shared cache
-under the binding's namespace.
+head projection is zero does not enter the DP; it is applied afterwards as a
+1-D count over the last coordinate.  The one such generator in use, family
+D's -e_last, has a negative last coordinate, so the count is a same-parity
+suffix sum; ``row`` refuses a zero-head generator with a positive one.
+Rows and their histograms live in the shared cache under the binding's
+namespace, each weighing its number of cells against the cache's cap.
 
 ``count_sigma_prime`` is an independent specialized routine for the paired
 generator family e_i +- e_last: a balance-tracking dynamic program over the
@@ -69,31 +71,38 @@ class PartitionCache:
     """Bounded memo for partition counts.
 
     Entries are pure facts, (index, residual) -> count or -> a row's
-    histogram, so the cache never changes results; overflow evicts the
-    whole cache.  A lock guards lookups and inserts so the cache may be
-    shared across threads.
+    histogram, so the cache never changes results.  The cap
+    ``max_entries`` counts cells: a count is one, a histogram one per last
+    coordinate it holds, so it bounds memory whatever the mix.  An insert
+    that would pass the cap evicts the whole cache first.  A lock guards
+    lookups and inserts so the cache may be shared across threads.
     """
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES):
         self.max_entries = max(1, int(max_entries))
         self._data: dict = {}
+        self._cells = 0
         self._lock = threading.Lock()
 
     def get(self, key):
         with self._lock:
             return self._data.get(key)
 
-    def put(self, key, value) -> None:
+    def put(self, key, value, cells: int = 1) -> None:
+        """Keep ``value`` under ``key``; ``cells`` is its weight against the cap."""
         with self._lock:
-            if len(self._data) >= self.max_entries:
+            if self._cells + cells > self.max_entries:
                 self._data.clear()
+                self._cells = 0
             self._data[key] = value
+            self._cells += cells
 
     def set_max_entries(self, max_entries: int) -> None:
         with self._lock:
             self.max_entries = max(1, int(max_entries))
-            if len(self._data) > self.max_entries:
+            if self._cells > self.max_entries:
                 self._data.clear()
+                self._cells = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -163,11 +172,6 @@ class PartitionFunction:
         self._ns = next(_namespaces)
         self._row_plan = None
 
-    def level(self, t2: Sequence[int]) -> int:
-        """The positive functional at a doubled-integer vector; a target
-        below level 0 has no partition."""
-        return _dot(self.phi, t2)
-
     def count(self, t2: tuple[int, ...]) -> int:
         """Partition count of the integral doubled-integer target ``t2``."""
         level = _dot(self.phi, t2)
@@ -204,8 +208,9 @@ class PartitionFunction:
         """The partition counts of the doubled-integer targets (head, last)
         for every last, as a ``Row``: ``row(head)[last] == count(head +
         (last,))``.  Raises DomainError where the non-zero head projections
-        of the generators do not span a pointed cone, or more than one
-        generator has a zero head projection."""
+        of the generators do not span a pointed cone, or where more than one
+        generator, or one with a positive last coordinate, has a zero head
+        projection."""
         _, psi, _, _, _, zero_step = self._row_plan or self._plan_rows()
         # a head is one coordinate shorter than a count's target, so head
         # entries never share a key with count entries
@@ -214,7 +219,7 @@ class PartitionFunction:
         if row is None:
             level = _dot(psi, head)
             row = Row(self._hist(0, head, level) if level >= 0 else {}, zero_step)
-            _shared_cache.put(key, row)
+            _shared_cache.put(key, row, max(1, len(row)))
         return row
 
     def _plan_rows(self) -> tuple:
@@ -225,12 +230,15 @@ class PartitionFunction:
         every generator from there on is >= 0 (a residual negative there has
         no partition) and those where every one is 0 (a residual non-zero
         there has none); and the last coordinate of the one generator with
-        a zero head, or 0."""
+        a zero head, negative, or 0."""
         split = [(g[:-1], g[-1]) for g in self.gens2]
         moving = tuple((h, last) for h, last in split if any(h))
         zero = [last for h, last in split if not any(h)]
-        if len(zero) > 1:
-            raise DomainError("a row applies at most one generator with a zero head projection")
+        if len(zero) > 1 or any(last > 0 for last in zero):
+            raise DomainError(
+                "a row applies at most one generator with a zero head projection, "
+                "and only one with a negative last coordinate"
+            )
         heads = tuple(h for h, _ in moving)
         try:
             psi = _positive_functional(heads) if heads else (0,) * (self.rank - 1)
@@ -277,7 +285,7 @@ class PartitionFunction:
             shift += g_last
             if level < 0 or any(head[c] < 0 for c in stop):
                 break
-        _shared_cache.put(key, out)
+        _shared_cache.put(key, out, max(1, len(out)))
         return out
 
 
@@ -288,31 +296,31 @@ _UNIT = {0: 1}
 class Row(dict):
     """Partition counts of one head target by last coordinate: ``row[last]``
     is the count of (head, last) for any integer ``last``.  Holds the counts
-    on the histogram's span; past its open end (the side a zero-head step
-    moves toward) a count repeats with period |step|, and past the other
-    end it is 0.  Built by ``PartitionFunction.row``; never mutated."""
+    on the histogram's span; above it a count is 0, and below it a count
+    repeats with period |step| where a zero-head step (negative) is applied,
+    and is 0 where none is.  Built by ``PartitionFunction.row``; never
+    mutated."""
 
-    __slots__ = ("_step", "_edge")
+    __slots__ = ("_step", "_lo")
 
     def __init__(self, hist: dict, step: int):
         super().__init__()
         self._step = step
-        self._edge = None  # the open end, where there is one
+        self._lo = None  # the low end of the span, where a step repeats it
         if not step or not hist:
             self.update(hist)
             return
-        # a zero-head step c adds to the count at last those at last - c,
-        # last - 2c, ...: a running sum over the span, from the end that c
-        # points away from to the open end
+        # a zero-head step adds to the count at last those at last - step,
+        # last - 2 step, ...: a running sum down the span from its high end
         lo, hi = min(hist), max(hist)
-        self._edge = lo if step < 0 else hi
-        for last in (range(hi, lo - 1, -1) if step < 0 else range(lo, hi + 1)):
+        self._lo = lo
+        for last in range(hi, lo - 1, -1):
             self[last] = hist.get(last, 0) + self.get(last - step, 0)
 
     def __missing__(self, last: int) -> int:
-        edge = self._edge
-        if edge is not None and (last - edge) * self._step > 0:
-            return self[edge - (edge - last) % self._step]
+        lo = self._lo
+        if lo is not None and last < lo:
+            return self[lo + (last - lo) % -self._step]
         return 0
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sobranch import cli, tsukamoto
+from sobranch import cli, kostant, tsukamoto
 from sobranch.cli import main
 from sobranch.weights import tilde
 
@@ -179,13 +179,16 @@ def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
 
 
 def test_verify_builds_each_full_sum_once_per_pair(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, (cli, "full_sum"), (cli, "multiplicity_kostant_full"))
+    calls = count_calls(monkeypatch, (cli, "multiplicity_kostant_full"))
+    kostant._pair_terms.cache_clear()
     code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
                        "--methods", "all")
     assert code == 0
     assert out.startswith("OK family=B n=2 max=2: 360 grid points agree across ")
     pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
-    assert calls == {"full_sum": pairs}
+    # one call per point, and one orbit walk and support test per pair
+    assert calls == {"multiplicity_kostant_full": 360}
+    assert kostant._pair_terms.cache_info().misses == pairs
 
 
 def test_full_sum_probe_at_n9_builds_only_the_usable_orbit(capsys):
