@@ -9,36 +9,31 @@ function route and the character oracle is the package's main invariant.
 The full sum does the same exact arithmetic as the textbook loop with less
 repeated work:
 
-* Direct orbit.  lam + rho is regular, so its Weyl orbit is its signed
-  coordinate permutations, one per element.  ``_orbit`` builds the
-  restricted, rho-shifted images p as doubled integers from the permutations
-  and ``weights.sign_patterns`` (each point takes its pattern by its index in
-  the order that function guarantees), each sign from the inversion parity
-  and flip count, once per (family, n, lam) into a small LRU.  A term's
-  ``SignedPermutation`` is built once, when its pair is bound.
-* Head floor.  Every query's mu is dominant for the subgroup, so it is >= 0
-  on the head slots ``_floor_slots`` names, which lie in sigma's sign
-  support (below).  A point p negative on one of them fails the support
-  test of every query, so ``_orbit`` never builds it: ``_placements`` puts
-  lam + rho's coordinates into the floor slots one slot at a time and drops
-  a partial placement as soon as a slot can only go negative, and each
-  slot's two signs are filtered before the product over slots.  The orbit
-  keeps only the points some query can use, a small part of |W| at n >= 4
-  (4 of 322,560 for lam = (1, 0, ..., 0) at family D, n = 5), and its build
-  grows with them, not with the (n+1)! permutations.
-* Sign-support skip.  A target negative on a coordinate where every
-  generator of sigma is >= 0 (sigma's support: the n head coordinates) has
-  no partition.  That is the evaluator's zero test on the head; it reads no
-  k, so the walk makes it once per (lam, mu) and drops such p.
+* Per-pair placement.  lam + rho is regular, so its Weyl orbit is its
+  signed coordinate permutations, one per element, and a term's target is
+  p - (mu, 2k) with p the restricted, rho-shifted image as doubled integers.
+  A target negative on a coordinate where every generator of sigma is >= 0
+  (sigma's support: the n head slots) has no partition, whatever k, so a
+  pair needs only the p with p >= mu on the head.  There p[j] = +-c - rho[j]
+  for the coordinate c of lam + rho in slot j, so that asks |c| >= rho[j] +
+  mu[j]: ``_placements`` puts lam + rho's coordinates into the head slots
+  one slot at a time and drops a partial placement as soon as a slot's need
+  is not met, and each slot's two signs are filtered by p[j] >= mu[j]
+  before the product over slots.  Each sign pattern is read off
+  ``weights.sign_patterns`` by its index in the order that function
+  guarantees, and the sign from the inversion parity and flip count.  The
+  build grows with the kept terms, not with |W| or the (n+1)!
+  permutations: 4 terms for lam = (9, ..., 9) and mu = (9, ..., 9) at
+  family D, n = 7, where 725,760 points are >= 0 on the head.
 * Bound evaluator.  Both paths count with sigma's ``PartitionFunction``:
   its generators are validated and sorted, and phi and the support found,
   once per root system and looked up once per query, not once per
   partition count.
 * Whole row.  ``_pair_terms`` binds the terms of one (lam, mu) pair for
-  every k, the counterpart of ``reduced_sum``, into a small LRU: one walk
-  of lam's orbit, the support test once per point, and per kept point
-  sigma's ``PartitionFunction.row`` of its head target p_head - mu, the
-  counts by last coordinate.  ``kostant_terms`` then reads each term at k
+  every k, the counterpart of ``reduced_sum``, into a small LRU: its
+  placement, and per kept head sigma's ``PartitionFunction.row`` of the
+  head target p_head - mu, the counts by last coordinate, shared by the
+  last slot's two signs.  ``kostant_terms`` then reads each term at k
   as one row lookup at p_last - 2k; a row is 0 past its span, so the walk
   needs no cut-off by phi.  A verify sweep asks for every k of a pair back
   to back, so each pair is bound once.
@@ -48,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterator
 
 from .errors import InterlacingError, InternalInconsistencyError
@@ -68,25 +62,6 @@ from .weights import (
 # Not called here: perfbench's tracer rebinds this name in this module, so it
 # stays bound until the benchmark reads library counters instead.
 from .weights import weyl_elements  # noqa: F401
-
-
-#: Weyl orbits kept, one per (family, n, lam); a verify sweep walks one lam
-#: at a time through all its (mu, k)
-_ORBITS = 8
-
-
-def _floor_slots(family: str, n: int, support: tuple[int, ...]) -> tuple[int, ...]:
-    """The restricted slots on which an orbit point must be >= 0 for any
-    query to use it, given sigma's sign ``support`` (the n head slots).
-
-    Every query's mu is dominant for the subgroup K, because
-    ``BranchingQuery`` runs ``check_pair``: under family B (K = D_n) mu is
-    >= 0 on head slots 0..n-2 and only its last slot may be negative; under
-    family D (K = B_n) it is >= 0 on all n head slots.  ``_pair_terms``
-    skips a point p with p[c] < mu[c] on a support slot c, so a p negative
-    on a support slot where mu is >= 0 is skipped by every query."""
-    heads = n - 1 if family == FAMILY_B else n
-    return tuple(c for c in support if c < heads)
 
 
 def _placements(values: tuple[int, ...], needs: dict[int, int]) -> Iterator[tuple[int, ...]]:
@@ -118,58 +93,6 @@ def _placements(values: tuple[int, ...], needs: dict[int, int]) -> Iterator[tupl
     return fill([])
 
 
-@lru_cache(maxsize=_ORBITS)
-def _orbit(
-    family: str, n: int, lam: Weight
-) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, tuple[int, ...]]], ...]:
-    """(phi . p, p, perm, (sign, flips)) for every Weyl group element
-    omega = SignedPermutation(perm, frozenset(flips)) of sign ``sign`` whose
-    p is >= 0 on the floor slots (``_floor_slots``), where p is the
-    doubled-integer restriction of omega(lam + rho) - rho and phi the
-    positive functional of sigma's partition function; sorted by phi . p,
-    highest first."""
-    rd = make_root_data(family, n)
-    sigma = partition_function(rd.sigma)
-    floor = _floor_slots(family, n, sigma.support)
-    rank = rd.g_rank
-    lam_rho = (lam + rd.rho_g).coords2
-    rho_bar = restrict(family, rd.rho_g).coords2
-    patterns = sign_patterns(family, rank)
-    signed = {1: patterns, -1: [(-sign, flips) for sign, flips in patterns]}
-    # a slot's flip adds this to the index of its sign pattern: product order
-    # over the restricted slots, first slot most significant
-    bits = [1 << j for j in reversed(range(len(rho_bar)))]
-    # restrict keeps coordinates, so restricting the slot numbers names the
-    # ambient slot behind each restricted one
-    kept = restrict(family, Weight(tuple(range(rank)))).coords2
-    # a floor slot holding |c| < r is negative under both signs
-    needs = {kept[j]: rho_bar[j] for j in floor}
-    points: list = []
-    for perm in _placements(lam_rho, needs):
-        # omega puts coordinate i of lam + rho in slot perm[i], then negates
-        # the flipped slots; restrict is linear, so p is the restricted
-        # signed image minus the restriction of rho
-        image = [0] * rank
-        for i, j in enumerate(perm):
-            image[j] = lam_rho[i]
-        image = [image[j] for j in kept]
-        # each slot's (flip bit, coordinate of p) choices, unflipped first; a
-        # floor slot keeps only the non-negative ones
-        choices = [
-            [(flip, a) for flip, a in ((0, c - r), (bit, -c - r)) if a >= 0 or j not in floor]
-            for j, (c, r, bit) in enumerate(zip(image, rho_bar, bits))
-        ]
-        coords = [[a for _, a in slot] for slot in choices]
-        # phi . p and the pattern index summed from the same choices, slot by slot
-        levels = map(sum, itertools.product(
-            *[[f * a for a in slot] for f, slot in zip(sigma.phi, coords)]))
-        indices = map(sum, itertools.product(*[[flip for flip, _ in slot] for slot in choices]))
-        points.extend(zip(levels, itertools.product(*coords), itertools.repeat(perm),
-                          map(signed[_inversion_parity(perm)].__getitem__, indices)))
-    points.sort(key=itemgetter(0), reverse=True)
-    return tuple(points)
-
-
 #: bound pairs kept, one per (family, n, lam, mu); a verify sweep asks for
 #: every k of one pair back to back.  A kept pair holds its rows even after
 #: the partition cache evicts them.
@@ -180,19 +103,53 @@ _PAIRS = 64
 def _pair_terms(
     family: str, n: int, lam: Weight, mu: Weight
 ) -> tuple[tuple[SignedPermutation, int, int, Row], ...]:
-    """(omega, sign, p_last, row) for every point p of lam's orbit that
-    passes mu's support test, in the orbit's order: p_last is p's doubled
-    last coordinate and row sigma's ``PartitionFunction.row`` of the head
-    target p_head - mu, so the term of omega at k is row[p_last - 2k]."""
-    sigma = partition_function(make_root_data(family, n).sigma)
+    """(omega, sign, p_last, row) for every Weyl group element omega whose
+    point p, the doubled-integer restriction of omega(lam + rho) - rho, is
+    >= mu on sigma's support (the n head slots): p_last is p's last
+    coordinate and row sigma's ``PartitionFunction.row`` of the head target
+    p_head - mu, so the term of omega at k is row[p_last - 2k].  Any other
+    point has a zero term at every k."""
+    rd = make_root_data(family, n)
+    sigma = partition_function(rd.sigma)
+    rank = rd.g_rank
+    lam_rho = (lam + rd.rho_g).coords2
+    rho_bar = restrict(family, rd.rho_g).coords2
     mu2 = mu.coords2
+    patterns = sign_patterns(family, rank)
+    # a slot's flip adds this to the index of its sign pattern: product order
+    # over the restricted slots, first slot most significant
+    bits = [1 << j for j in reversed(range(len(rho_bar)))]
+    # restrict keeps coordinates, so restricting the slot numbers names the
+    # ambient slot behind each restricted one
+    kept = restrict(family, Weight(tuple(range(rank)))).coords2
+    # p[j] = +-c - rho_bar[j] on a head slot holding c, and some sign reaches
+    # mu[j] only if |c| >= rho_bar[j] + mu[j]; mu has no last slot, so the
+    # zips here and below are over the head
+    needs = {kept[j]: r + m for j, (r, m) in enumerate(zip(rho_bar, mu2)) if r + m > 0}
+    r_last = rho_bar[-1]
     terms = []
-    for _, p, perm, (sign, flips) in _orbit(family, n, lam):
-        if any(p[c] < mu2[c] for c in sigma.support):
-            continue
-        # mu has no last slot, so the zip is over the head
-        head = tuple(a - b for a, b in zip(p, mu2))
-        terms.append((SignedPermutation(perm, frozenset(flips)), sign, p[-1], sigma.row(head)))
+    for perm in _placements(lam_rho, needs):
+        parity = _inversion_parity(perm)
+        # omega puts coordinate i of lam + rho in slot perm[i], then negates
+        # the flipped slots; restrict is linear, so p is the restricted
+        # signed image minus the restriction of rho
+        image = [0] * rank
+        for i, j in enumerate(perm):
+            image[j] = lam_rho[i]
+        *head, c_last = [image[j] for j in kept]
+        # each head slot's (flip bit, p[j] - mu[j]) choices, unflipped first,
+        # kept where p[j] >= mu[j]
+        choices = [
+            [(flip, a - m) for flip, a in ((0, c - r), (bit, -c - r)) if a >= m]
+            for c, r, m, bit in zip(head, rho_bar, mu2, bits)
+        ]
+        for combo in itertools.product(*choices):
+            row = sigma.row(tuple(t for _, t in combo))
+            index = sum(flip for flip, _ in combo)
+            # the last slot is the least significant bit, and its two signs share the head
+            for flip, p_last in ((0, c_last - r_last), (1, -c_last - r_last)):
+                sign, flips = patterns[index + flip]
+                terms.append((SignedPermutation(perm, frozenset(flips)), parity * sign, p_last, row))
     return tuple(terms)
 
 

@@ -79,7 +79,6 @@ def u3_to_so3_closed(lam_prime: U3Weight, k: int) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
 def _gt_torus_counts(p: int, q: int) -> tuple[tuple[int, int], ...]:
     """Count Gelfand-Tsetlin patterns of the highest weight (p, q, 0) by the
     image of their U(3) weight on the SO(3) torus, where the torus element
@@ -94,7 +93,12 @@ def _gt_torus_counts(p: int, q: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-@lru_cache(maxsize=None)
+#: SO(3) contents kept by each memoised function, one per U(3) highest
+#: weight (p, q, 0)
+_U3_CONTENTS = 256
+
+
+@lru_cache(maxsize=_U3_CONTENTS)
 def _so3_content(p: int, q: int) -> tuple[tuple[int, int], ...]:
     """Strip SO(3) character strings greedily from the top of the torus
     character of the U(3) irreducible with highest weight (p, q, 0)."""
@@ -132,7 +136,7 @@ def u3_to_so3_oracle(lam_prime: U3Weight, k: int) -> int:
     return dict(_so3_content(p, q)).get(k, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_U3_CONTENTS)
 def _restriction_content(p: int, q: int) -> So3MultiSet:
     return So3MultiSet({k: u3_to_so3_closed(U3Weight(p, q, 0), k) for k in range(p + 1)})
 

@@ -220,20 +220,26 @@ class SignedPermutation:
         return SignedPermutation(perm, frozenset(flips))
 
 
-def sign_patterns(family: str, rank: int) -> list[tuple[int, tuple[int, ...]]]:
+#: sign pattern lists kept, one per (family, rank); every Kostant pair
+#: binding reads its rank's
+_SIGN_PATTERNS = 16
+
+
+@lru_cache(maxsize=_SIGN_PATTERNS)
+def sign_patterns(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """((-1) ** flips, flipped slots) for each sign pattern of the Weyl group
     once, the one definition of W = permutations x sign patterns: all subsets
     of the slots (family B) or the even-size ones (family D; rank 1 has the
     identity only), in ``itertools.product`` order over the slots
     ``restrict`` keeps, unflipped first and first slot most significant.
     Family D flips its dropped slot rank - 2 exactly when that makes the
-    count even.  Slots are a sorted tuple, not a frozenset: the cycle
-    collector skips tuples of ints, which halves a Kostant orbit's build."""
+    count even.  The result is memoised and shared by every caller, so it
+    is a tuple, and each pattern's slots a sorted tuple."""
     check_family(family)
     if rank < 1:
         raise DomainError("rank must be positive")
     if family == FAMILY_D and rank == 1:
-        return [(1, ())]
+        return ((1, ()),)
     kept = [j for j in range(rank) if family == FAMILY_B or j != rank - 2]
     patterns = []
     for choice in itertools.product((False, True), repeat=len(kept)):
@@ -241,7 +247,7 @@ def sign_patterns(family: str, rank: int) -> list[tuple[int, tuple[int, ...]]]:
         if family == FAMILY_D and len(flips) % 2:
             flips.add(rank - 2)
         patterns.append((-1 if len(flips) % 2 else 1, tuple(sorted(flips))))
-    return patterns
+    return tuple(patterns)
 
 
 #: whole Weyl groups kept; only ``oracle.xi`` and the tests walk them
@@ -467,7 +473,11 @@ class RootData:
         return (k_family(self.family), self.n)
 
 
-@lru_cache(maxsize=None)
+#: root data kept, one per (family, n)
+_ROOT_DATA = 16
+
+
+@lru_cache(maxsize=_ROOT_DATA)
 def make_root_data(family: str, n: int) -> RootData:
     """Build the root data for one family and parameter n (family B needs
     n >= 2, family D needs n >= 1)."""

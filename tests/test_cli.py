@@ -186,19 +186,29 @@ def test_verify_builds_each_full_sum_once_per_pair(capsys, monkeypatch):
     assert code == 0
     assert out.startswith("OK family=B n=2 max=2: 360 grid points agree across ")
     pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
-    # one call per point, and one orbit walk and support test per pair
+    # one call per point, and one binding of the pair's terms per pair
     assert calls == {"multiplicity_kostant_full": 360}
     assert kostant._pair_terms.cache_info().misses == pairs
 
 
 def test_full_sum_probe_at_n9_builds_only_the_usable_orbit(capsys):
-    # |W(B_10)| is about 3.7e9; the orbit keeps a handful of points, and its
-    # build places lam + rho slot by slot instead of trying 10! permutations
+    # |W(B_10)| is about 3.7e9; the pair's binding keeps a handful of terms,
+    # and places lam + rho slot by slot instead of trying 10! permutations
     n = 9
     code, out, _ = run(capsys, "mult", "--family", "B", "--n", str(n),
                        "--lam", ",".join(["1"] + ["0"] * n), "--mu", ",".join(["0"] * n),
                        "--k", "1", "--methods", "kostant-full")
     assert (code, out) == (0, f"mu={','.join(['0'] * n)} k=1   kostant-full    1\n")
+
+
+def test_full_sum_probe_at_D_n7_places_lam_for_its_mu(capsys):
+    # lam + rho is regular with 9! placements; mu's support test keeps only
+    # those with a large enough coordinate on every head slot, 4 points of
+    # the 725,760 that are >= 0 on the head
+    code, out, _ = run(capsys, "mult", "--family", "D", "--n", "7", "--lam", ",".join(["9"] * 9),
+                       "--mu", ",".join(["9"] * 7), "--k", "9", "--methods", "kostant-full,tsukamoto")
+    mu = ",".join(["9"] * 7)
+    assert (code, out) == (0, f"mu={mu} k=9   kostant-full    1\nmu={mu} k=9   tsukamoto       1\n")
 
 
 def test_verify_builds_each_family_D_series_once(capsys, monkeypatch):

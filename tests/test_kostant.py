@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from sobranch import cli, kostant, oracle, partition, tsukamoto, weights
+from sobranch import cli, kostant, oracle, partition, tsukamoto, u3_so3, weights
 from sobranch.clebsch_gordan import closed_form_B
 from sobranch.errors import DomainError, InterlacingError
 from sobranch.kostant import (
@@ -151,41 +151,43 @@ def test_sorted_orbit_walk_matches_plain_weyl_sum(family, n, bound):
     assert (negative_last > 0) == (family == "D")
 
 
-def scalar_terms(q):
-    """The terms of lam's orbit at q.k with one scalar partition count each,
-    no row and no support test."""
+def weyl_points(family, n, lam):
+    """(omega, p) for every element of W: p is the doubled-integer
+    restriction of omega(lam + rho) - rho."""
+    rd = make_root_data(family, n)
+    lam_rho = lam + rd.rho_g
+    return [
+        (omega, restrict(family, omega.apply(lam_rho) - rd.rho_g).coords2)
+        for omega in weyl_elements(family, rd.g_rank)
+    ]
+
+
+def scalar_terms(q, points):
+    """The terms of q's Weyl sum from ``weyl_points`` at q.k with one scalar
+    partition count each, no row and no support test."""
     sigma = partition_function(make_root_data(q.family, q.n).sigma)
     mu_ext = q.mu.coords2 + (2 * q.k,)
-    for _, p, perm, (sign, flips) in kostant._orbit(q.family, q.n, q.lam):
+    for omega, p in points:
         value = sigma.count(tuple(a - b for a, b in zip(p, mu_ext)))
         if value:
-            yield SignedPermutation(perm, frozenset(flips)), sign, value
+            yield omega, omega.sign, value
 
 
 @pytest.mark.parametrize("family, n, bound", ORBIT_GRIDS)
 def test_row_terms_match_scalar_counts_past_the_grid(family, n, bound):
     for lam, mu in dict.fromkeys((lam, mu) for lam, mu, _ in cli._grid(family, n, bound)):
+        points = weyl_points(family, n, lam)
         k_top = sum(abs(c) for c in lam.to_ints())
         for k in range(k_top + 4):
             q = BranchingQuery(family, n, lam, mu, k)
-            assert Counter(kostant_terms(q)) == Counter(scalar_terms(q)), q
+            assert Counter(kostant_terms(q)) == Counter(scalar_terms(q, points)), q
 
 
-def usable_points(family, n, lam):
-    """(level, p, perm, (sign, flips)) from every element of W whose
-    restricted rho-shifted image p is >= 0 on the head slots where every
-    subgroup-dominant mu is >= 0: slots 0..n-2 under family B (mu_n may be
-    negative), all n head slots under family D."""
-    rd = make_root_data(family, n)
-    phi = partition_function(rd.sigma).phi
-    floor = range(n - 1) if family == "B" else range(n)
-    points = []
-    for omega in weyl_elements(family, rd.g_rank):
-        p = restrict(family, omega.apply(lam + rd.rho_g) - rd.rho_g).coords2
-        if all(p[c] >= 0 for c in floor):
-            level = sum(f * a for f, a in zip(phi, p))
-            points.append((level, p, omega.perm, (omega.sign, tuple(sorted(omega.flips)))))
-    return points
+def usable_terms(points, mu):
+    """(omega, sign, p_last) for every (omega, p) of ``points`` with p >= mu
+    on sigma's support, the head slots."""
+    mu2 = mu.coords2
+    return [(omega, omega.sign, p[-1]) for omega, p in points if all(a >= b for a, b in zip(p, mu2))]
 
 
 @pytest.mark.parametrize("family, n", [("B", 2), ("B", 3), ("D", 1), ("D", 2), ("D", 3)])
@@ -193,27 +195,35 @@ def test_orbit_is_exactly_the_usable_points(family, n):
     rank = make_root_data(family, n).g_rank
     lams = list(iter_dominant_weights(family, rank, 1))
     lams += list(iter_dominant_weights(family, rank, 2))[:2]
+    mus = list(iter_dominant_weights(weights.k_family(family), n, 2))
     assert (family == "D") == any(lam.coords2[-1] < 0 for lam in lams)
+    assert (family == "B") == any(mu.coords2[-1] < 0 for mu in mus)
+    assert partition_function(make_root_data(family, n).sigma).support == tuple(range(n))
     for lam in lams:
-        orbit = kostant._orbit(family, n, lam)
-        assert Counter(orbit) == Counter(usable_points(family, n, lam)), lam
-        levels = [point[0] for point in orbit]
-        assert levels == sorted(levels, reverse=True)
+        points = weyl_points(family, n, lam)
+        for mu in mus:
+            bound = kostant._pair_terms(family, n, lam, mu)
+            assert Counter(term[:3] for term in bound) == Counter(usable_terms(points, mu)), (lam, mu)
 
 
 def test_orbit_and_binding_caches_are_bounded():
-    assert kostant._orbit.cache_info().maxsize is not None
     assert kostant._pair_terms.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
     # bounds the lams whose rows are kept; each lam's rows grow with its mus
     assert tsukamoto._row.cache_info().maxsize is not None
     assert weights.check_pair.cache_info().maxsize is not None
     assert weights.weyl_elements.cache_info().maxsize is not None
+    assert weights.sign_patterns.cache_info().maxsize is not None
+    assert weights.make_root_data.cache_info().maxsize is not None
     # one whole rank-8 group of permutations
     assert weights._inversion_parity.cache_info().maxsize == math.factorial(8)
     assert oracle._char_items.cache_info().maxsize is not None
     # its one caller, _char_items, is memoised on the same key
     assert not hasattr(oracle._dominant_mults, "cache_info")
+    assert u3_so3._so3_content.cache_info().maxsize is not None
+    assert u3_so3._restriction_content.cache_info().maxsize is not None
+    # its one caller, _so3_content, is memoised on the same key
+    assert not hasattr(u3_so3._gt_torus_counts, "cache_info")
 
 
 def test_full_sum_unchanged_under_a_tiny_shared_cache():

@@ -95,7 +95,7 @@ def test_weyl_group_counts_and_uniqueness():
 def test_sign_patterns_match_brute_force(family, rank):
     patterns = sign_patterns(family, rank)
     if family == "D" and rank == 1:
-        assert patterns == [(1, ())]
+        assert patterns == ((1, ()),)
         return
     flip_sets = [frozenset(flips) for _, flips in patterns]
     every = [
@@ -108,8 +108,8 @@ def test_sign_patterns_match_brute_force(family, rank):
     assert set(flip_sets) == set(every)
     assert all(flips == tuple(sorted(flips)) for _, flips in patterns)
     assert all(sign == (-1) ** len(flips) for sign, flips in patterns)
-    # ``kostant._orbit`` zips the patterns against the product of the signs
-    # of the slots ``restrict`` keeps
+    # ``kostant._pair_terms`` indexes the patterns by the product of the
+    # signs of the slots ``restrict`` keeps
     kept = restrict(family, Weight(tuple(range(rank)))).coords2
     assert [tuple(j in flips for j in kept) for flips in flip_sets] == list(
         itertools.product((False, True), repeat=len(kept))
