@@ -27,8 +27,7 @@ repeated work:
   family D, n = 7, where 725,760 points are >= 0 on the head.
 * Bound evaluator.  Both paths count with sigma's ``PartitionFunction``:
   its generators are validated and sorted, and phi and the support found,
-  once per root system and looked up once per query, not once per
-  partition count.
+  once per root system (``_sigma``), not once per pair or partition count.
 * Whole row.  ``_pair_terms`` binds the terms of one (lam, mu) pair for
   every k, the counterpart of ``reduced_sum``, into a small LRU: its
   placement, and per kept head sigma's ``PartitionFunction.row`` of the
@@ -93,6 +92,16 @@ def _placements(values: tuple[int, ...], needs: dict[int, int]) -> Iterator[tupl
     return fill([])
 
 
+#: root systems whose sigma is kept bound, one per (family, n)
+_ROOT_SYSTEMS = 8
+
+
+@lru_cache(maxsize=_ROOT_SYSTEMS)
+def _sigma(family: str, n: int) -> PartitionFunction:
+    """sigma's partition function for the root system of (family, n)."""
+    return partition_function(make_root_data(family, n).sigma)
+
+
 #: bound pairs kept, one per (family, n, lam, mu); a verify sweep asks for
 #: every k of one pair back to back.  A kept pair holds its rows even after
 #: the partition cache evicts them.
@@ -110,7 +119,7 @@ def _pair_terms(
     p_head - mu, so the term of omega at k is row[p_last - 2k].  Any other
     point has a zero term at every k."""
     rd = make_root_data(family, n)
-    sigma = partition_function(rd.sigma)
+    sigma = _sigma(family, n)
     rank = rd.g_rank
     lam_rho = (lam + rd.rho_g).coords2
     rho_bar = restrict(family, rd.rho_g).coords2
@@ -217,7 +226,7 @@ def reduced_sum(q: BranchingQuery) -> ReducedSum:
         raise InterlacingError(
             f"mu={q.mu} does not simply interlace lam={q.lam} (family {q.family})"
         )
-    sigma = partition_function(make_root_data(q.family, q.n).sigma)
+    sigma = _sigma(q.family, q.n)
     base = restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))
     if q.family == FAMILY_B:
         terms = ((1, base, -2), (-1, base.shift_last(2), 2))

@@ -3,9 +3,10 @@ package: Freudenthal weight multiplicities, alternating Weyl-orbit sums,
 character restriction, and greedy highest-weight stripping over the product
 subgroup.
 
-A weight system expands Freudenthal's dominant multiplicities over each
-dominant weight's orbit: its distinct coordinate arrangements under every
-``weights.sign_patterns``.  Only ``xi`` walks the elements of W.
+A character is fixed by its dominant multiplicities, so branching restricts
+and strips on the dominant chamber of K x SO(3) alone and expands no orbit.
+A full weight system spreads them over each dominant weight's coordinate
+arrangements under every ``weights.sign_patterns``.  Only ``xi`` walks W.
 
 Algebras are designated by (family, rank) pairs with family 'B' or 'D'; all
 arithmetic is exact on doubled-integer tuples.
@@ -29,16 +30,19 @@ from .weights import (
     is_dominant,
     iter_dominant_weights,
     k_family,
-    restrict,
     sign_patterns,
     weyl_elements,
 )
 
+# Not called here: perfbench's chunk marks look this name up in this module,
+# so it stays bound until the benchmark reads library counters instead.
+from .weights import restrict  # noqa: F401
+
 Algebra = tuple[str, int]
 
-#: weight systems kept, one per (family, rank, lam): a verify sweep needs each
-#: lam's and each stripped subgroup weight's, at most 65 (B n=3 max=3)
-_WEIGHT_SYSTEMS = 128
+#: dominant multiplicities kept, one per (family, rank, lam): a verify sweep
+#: needs each lam's and each found subgroup weight's, at most 71 (B n=6 max=2)
+_DOMINANT_SYSTEMS = 128
 
 
 def _check_algebra(algebra: Algebra) -> Algebra:
@@ -171,9 +175,10 @@ def _in_positive_root_span(family: str, d: tuple[int, ...]) -> bool:
     return s_rm2 + d[r - 2] - d[r - 1] >= 0
 
 
+@lru_cache(maxsize=_DOMINANT_SYSTEMS)
 def _dominant_mults(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Freudenthal's recursion on the dominant weights of the irreducible
-    with highest weight lam (integral, dominant); its caller memoises it."""
+    with highest weight lam (integral, dominant)."""
     roots2 = tuple(a.coords2 for a in algebra_positive_roots(family, rank))
     rho2 = algebra_rho(family, rank).coords2
     lam_ints = tuple(c // 2 for c in lam2)
@@ -219,7 +224,6 @@ def _dominant_mults(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tupl
     return tuple(sorted(mults.items()))
 
 
-@lru_cache(maxsize=_WEIGHT_SYSTEMS)
 def _char_items(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The full weight system: each dominant weight's multiplicity on its
     orbit, every sign pattern of every arrangement of its coordinates
@@ -284,52 +288,45 @@ def xi(algebra: Algebra, eta: Weight) -> CharacterMap:
 
 def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:
     """Complete branching table of the ambient irreducible over the product
-    subgroup: restrict the character, then repeatedly strip the product
-    character of the lexicographically maximal remaining weight.
+    subgroup: walk the dominant weights (mu, k) of K x SO(3) with mu_1 <=
+    lam_1 from the lexicographically highest down, and take as the entry
+    (mu, k) the restricted character there less what the characters found
+    so far have there.  Positive roots are lexicographically positive, so
+    each character reaching (mu, k) was found before it.
 
     Purely character-theoretic; shares nothing with the partition-function
     or generating-function routes.
     """
-    galg = _require_dominant_integral((family, g_rank(family, n)), lam)
-    kalg = (k_family(family), n)
-    kfam, _ = kalg
+    gfam, grank = _require_dominant_integral((family, g_rank(family, n)), lam)
+    kfam = k_family(family)
+    mults = dict(_dominant_mults(gfam, grank, lam.coords2))
+    top = lam.to_ints()[0]
+    # restriction drops no slot under family B and slot n under family D, so
+    # the restricted multiplicity sums over the dropped coordinate's values
+    dropped = [()] if family == FAMILY_B else [(d2,) for d2 in range(-2 * top, 2 * top + 1, 2)]
 
-    residual: dict[tuple[int, ...], int] = {}
-    for w2, m in _char_items(galg[0], galg[1], lam.coords2):
-        key = restrict(family, Weight(w2)).coords2
-        residual[key] = residual.get(key, 0) + m
-
+    taken: dict[tuple[int, ...], int] = {}
     entries: dict[tuple[tuple[int, ...], int], int] = {}
-    while residual:
-        top = max(residual)
-        m_top = residual[top]
-        mu2, k2 = top[:n], top[n]
-        if m_top < 0 or k2 < 0 or k2 % 2 or not is_dominant(kfam, Weight(mu2)):
-            raise InternalInconsistencyError(
-                f"stripping reached non-dominant leader {top} (x{m_top})"
-            )
-        k = k2 // 2
-        mu = Weight(mu2)
-        for kw2, km in _char_items(kalg[0], kalg[1], mu2):
-            dec = m_top * km
-            for j2 in range(-k2, k2 + 1, 2):
-                key = kw2 + (j2,)
-                rem = residual.get(key, 0) - dec
-                if rem < 0:
-                    raise InternalInconsistencyError(
-                        f"negative residual at {key} while stripping ({mu}, {k})"
-                    )
-                if rem:
-                    residual[key] = rem
-                else:
-                    residual.pop(key, None)
-        entries[(mu.to_ints(), k)] = m_top
+    for mu2 in sorted((mu.coords2 for mu in iter_dominant_weights(kfam, n, top)), reverse=True):
+        for k2 in range(2 * top, -1, -2):
+            m = sum(mults.get(_dominant_rep2(gfam, mu2 + d + (k2,)), 0) for d in dropped)
+            m -= taken.get(mu2 + (k2,), 0)
+            if m < 0:
+                raise InternalInconsistencyError(
+                    f"negative residual {m} at ({Weight(mu2)}, {k2 // 2})"
+                )
+            if m:
+                entries[(Weight(mu2).to_ints(), k2 // 2)] = m
+                for kappa2, km in _dominant_mults(kfam, n, mu2):
+                    for j2 in range(0, k2 + 1, 2):
+                        key = kappa2 + (j2,)
+                        taken[key] = taken.get(key, 0) + m * km
 
     total = sum(
-        m * weyl_dim(kalg, Weight.of_ints(mu)) * (2 * k + 1)
+        m * weyl_dim((kfam, n), Weight.of_ints(mu)) * (2 * k + 1)
         for (mu, k), m in entries.items()
     )
-    if total != weyl_dim(galg, lam):
+    if total != weyl_dim((gfam, grank), lam):
         raise InternalInconsistencyError(
             f"dimension check failed: {total} != dim of {lam}"
         )

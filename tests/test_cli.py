@@ -11,7 +11,8 @@ import pytest
 
 from sobranch import cli, kostant, tsukamoto
 from sobranch.cli import main
-from sobranch.weights import tilde
+from sobranch.tsukamoto import multiplicity_tsukamoto
+from sobranch.weights import BranchingQuery, Weight, tilde
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,6 +94,22 @@ def test_decompose_oracle(capsys):
     report = json.loads(out)
     entries = {(tuple(r["mu"]), r["k"]): r["multiplicity"] for r in report["results"]}
     assert entries == {((1, 0), 0): 1, ((0, 0), 1): 1}
+
+
+def test_decompose_oracle_at_B_n6_reads_the_dominant_chamber(capsys):
+    # whole-lattice stripping took about 17 s and 249 MiB on this lam
+    lam = (3, 3, 2, 2, 1, 1, 0)
+    code, out, _ = run(
+        capsys,
+        "decompose", "--family", "B", "--n", "6", "--lam", ",".join(map(str, lam)),
+        "--methods", "oracle", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 124
+    for row in rows:
+        q = BranchingQuery("B", 6, Weight.of_ints(lam), Weight.of_ints(row["mu"]), row["k"])
+        assert row["multiplicity"] == multiplicity_tsukamoto(q), row
 
 
 def test_decompose_closed_form_subset_of_oracle(capsys):

@@ -208,6 +208,7 @@ def test_orbit_is_exactly_the_usable_points(family, n):
 
 def test_orbit_and_binding_caches_are_bounded():
     assert kostant._pair_terms.cache_info().maxsize is not None
+    assert kostant._sigma.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
     # bounds the lams whose rows are kept; each lam's rows grow with its mus
     assert tsukamoto._row.cache_info().maxsize is not None
@@ -217,9 +218,10 @@ def test_orbit_and_binding_caches_are_bounded():
     assert weights.make_root_data.cache_info().maxsize is not None
     # one whole rank-8 group of permutations
     assert weights._inversion_parity.cache_info().maxsize == math.factorial(8)
-    assert oracle._char_items.cache_info().maxsize is not None
-    # its one caller, _char_items, is memoised on the same key
-    assert not hasattr(oracle._dominant_mults, "cache_info")
+    assert oracle._dominant_mults.cache_info().maxsize is not None
+    # built on the memoised dominant multiplicities; only whole weight
+    # systems (weight_multiplicities) read it
+    assert not hasattr(oracle._char_items, "cache_info")
     assert u3_so3._so3_content.cache_info().maxsize is not None
     assert u3_so3._restriction_content.cache_info().maxsize is not None
     # its one caller, _so3_content, is memoised on the same key

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sobranch.errors import DomainError
@@ -15,8 +17,10 @@ from sobranch.weights import (
     Weight,
     algebra_positive_roots,
     algebra_rho,
+    g_rank,
     iter_dominant_weights,
     make_root_data,
+    restrict,
     weyl_elements,
 )
 
@@ -166,6 +170,36 @@ def test_branch_oracle_conservation():
 def test_branch_oracle_rows_are_dominant():
     for (mu, k), m in oracle("B", 2, w([2, 2, 1])).items():
         assert mu[0] >= abs(mu[1]) and k >= 0 and m > 0
+
+
+def whole_lattice_branching(family, n, lam):
+    """Restrict every weight of lam's whole weight system, then strip the
+    product character of the lexicographically highest remaining weight,
+    each over its whole weight system, until nothing remains."""
+    rd = make_root_data(family, n)
+    residual = Counter()
+    for weight, m in weight_multiplicities(rd.g_algebra, lam).items():
+        residual[restrict(family, weight).coords2] += m
+    entries = {}
+    while residual:
+        top = max(residual)
+        m_top, mu, k2 = residual[top], Weight(top[:n]), top[n]
+        entries[(mu.to_ints(), k2 // 2)] = m_top
+        for kappa, km in weight_multiplicities(rd.k_algebra, mu).items():
+            for j2 in range(-k2, k2 + 1, 2):
+                residual[kappa.coords2 + (j2,)] -= m_top * km
+        assert min(residual.values()) >= 0, (lam, top)
+        residual = +residual  # drops the zeros
+    return MultiplicityTable(entries)
+
+
+@pytest.mark.parametrize(
+    "family, n, bound",
+    [("B", 2, 3), ("B", 3, 2), ("B", 4, 1), ("D", 1, 3), ("D", 2, 2), ("D", 3, 1)],
+)
+def test_branch_oracle_matches_whole_lattice_stripping(family, n, bound):
+    for lam in iter_dominant_weights(family, g_rank(family, n), bound):
+        assert oracle(family, n, lam) == whole_lattice_branching(family, n, lam), lam
 
 
 def test_branch_oracle_rejects_bad_input():
