@@ -6,8 +6,10 @@ Subcommands: ``mult`` (per-method multiplicities for one query),
 (U(3) to SO(3) branching, closed formula vs oracle).
 
 ``sweep`` is the one walk over a verify grid: ``verify`` reports on it and
-the cross-route test sweeps check it.  Whole answers a route reads k off are
-kept per lam and dropped when the walk moves to the next lam.
+the cross-route test sweeps check it.  The oracle's table and the
+closed-form and ending multisets, whole answers a route reads k off, are
+kept per lam and dropped when the walk moves to the next lam; the Kostant
+routes keep their per-pair bindings in ``kostant``.
 
 Exit codes: 0 success/agreement, 1 divergence between methods, 2 usage
 error.  Reports go to stdout, diagnostics to stderr.  The environment
@@ -26,11 +28,7 @@ import sys
 from . import partition
 from .clebsch_gordan import closed_form_B, closed_form_D
 from .errors import DomainError, PreconditionError, SobranchError
-from .kostant import multiplicity_kostant_full, reduced_sum
-
-# Not called here: perfbench's tracer rebinds this name in this module, so it
-# stays bound until the benchmark reads library counters instead.
-from .kostant import multiplicity_kostant_reduced  # noqa: F401
+from .kostant import multiplicity_kostant_full, multiplicity_kostant_reduced
 from .oracle import branch_oracle
 from .tsukamoto import multiplicity_tsukamoto
 from .u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle
@@ -79,18 +77,17 @@ def _from_pair(method: str, q: BranchingQuery, tables: dict, build) -> int | Non
 # returns the multiplicity, or None or a PreconditionError where the method
 # does not apply.  The per-lam tables hold each whole answer a route reads k
 # off: the oracle's table of lam, and per (lam, mu) the closed-form and ending
-# multisets and the bound reduced sum.  The entries look the library functions
-# up in this module's globals at call time rather than capturing them here, so
-# code that rebinds one of them on this module (a tracer, a test injecting a
-# fault) sees every call.
+# multisets; both Kostant sums bind their pairs in ``kostant``'s own LRUs.
+# The entries look the library functions up in this module's globals at call
+# time rather than capturing them here, so code that rebinds one of them on
+# this module (a tracer, a test injecting a fault) sees every call.
 METHODS = {
     "closed-form": lambda q, tables: _from_pair("closed-form", q, tables, lambda: (
         closed_form_B(q.lam, q.mu) if q.family == FAMILY_B else closed_form_D(q.lam, q.mu))),
     "ending": lambda q, tables: _from_pair("ending", q, tables, lambda: (
         ending_B(q.lam, q.mu) if q.family == FAMILY_B else ending_D(q.lam, q.mu))),
     "kostant-full": lambda q, tables: multiplicity_kostant_full(q),
-    "kostant-reduced": lambda q, tables: _from_pair("kostant-reduced", q, tables,
-                                                    lambda: reduced_sum(q)),
+    "kostant-reduced": lambda q, tables: multiplicity_kostant_reduced(q),
     "oracle": _oracle,
     "tsukamoto": lambda q, tables: multiplicity_tsukamoto(q),
 }

@@ -29,13 +29,18 @@ repeated work:
   its generators are validated and sorted, and phi and the support found,
   once per root system (``_sigma``), not once per pair or partition count.
 * Whole row.  ``_pair_terms`` binds the terms of one (lam, mu) pair for
-  every k, the counterpart of ``reduced_sum``, into a small LRU: its
-  placement, and per kept head sigma's ``PartitionFunction.row`` of the
-  head target p_head - mu, the counts by last coordinate, shared by the
-  last slot's two signs.  ``kostant_terms`` then reads each term at k
-  as one row lookup at p_last - 2k; a row is 0 past its span, so the walk
-  needs no cut-off by phi.  A verify sweep asks for every k of a pair back
-  to back, so each pair is bound once.
+  every k into a small LRU: its placement, and per kept head sigma's
+  ``PartitionFunction.row`` of the head target p_head - mu, the counts by
+  last coordinate, shared by the last slot's two signs.  ``kostant_terms``
+  then reads each term at k as one row lookup at p_last - 2k; a row is 0
+  past its span, so the walk needs no cut-off by phi.  A verify sweep asks
+  for every k of a pair back to back, so each pair is bound once.
+
+The reduced sum is bound the same way, per pair in an LRU of the same size
+(``_reduced_terms``): all its terms share one head target, so it holds one
+row and reads each term at k off it.  A pair that does not simply
+interlace is bound too, to its error message, so an n/a point costs one
+lookup.  Both paths count partitions only through rows.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InterlacingError, InternalInconsistencyError
-from .partition import PartitionFunction, Row, count_vector_partitions, partition_function
+from .partition import PartitionFunction, Row, partition_function
 from .weights import (
     FAMILY_B,
     BranchingQuery,
@@ -58,8 +63,10 @@ from .weights import (
     sign_patterns,
 )
 
-# Not called here: perfbench's tracer rebinds this name in this module, so it
-# stays bound until the benchmark reads library counters instead.
+# Not called here: perfbench's tracer and chunk marks rebind these names in
+# this module, so they stay bound until the benchmark reads library counters
+# instead.
+from .partition import count_vector_partitions  # noqa: F401
 from .weights import weyl_elements  # noqa: F401
 
 
@@ -102,9 +109,10 @@ def _sigma(family: str, n: int) -> PartitionFunction:
     return partition_function(make_root_data(family, n).sigma)
 
 
-#: bound pairs kept, one per (family, n, lam, mu); a verify sweep asks for
-#: every k of one pair back to back.  A kept pair holds its rows even after
-#: the partition cache evicts them.
+#: bound pairs kept by each of the full and the reduced sum, one per
+#: (family, n, lam, mu); a verify sweep asks for every k of one pair back to
+#: back.  A kept pair holds its rows even after the partition cache evicts
+#: them.
 _PAIRS = 64
 
 
@@ -186,62 +194,45 @@ def multiplicity_kostant_full(q: BranchingQuery) -> int:
     return total
 
 
-class ReducedSum:
-    """The reduced sum of one simply interlacing (lam, mu) pair, bound once:
-    ``mult(k)`` counts its signed terms at k.  Each term is a sign, its
-    target at k = 0 and the step of the target's last doubled coordinate per
-    unit of k.  Build one with ``reduced_sum``."""
-
-    __slots__ = ("query", "_sigma", "_terms")
-
-    def __init__(
-        self, query: BranchingQuery, sigma: PartitionFunction, terms: tuple[tuple[int, Weight, int], ...]
-    ):
-        self.query = query
-        self._sigma = sigma
-        self._terms = terms
-
-    def mult(self, k: int) -> int:
-        """Multiplicity of the (2k+1)-dimensional SO(3) irreducible."""
-        total = sum(
-            sign * count_vector_partitions(self._sigma, target.shift_last(step * k))
-            for sign, target, step in self._terms
-        )
-        if total < 0:
-            q = self.query
-            raise InternalInconsistencyError(
-                f"negative reduced sum {total} for family {q.family}, n={q.n}, "
-                f"lam={q.lam}, mu={q.mu}, k={k}"
-            )
-        return total
-
-
-def reduced_sum(q: BranchingQuery) -> ReducedSum:
-    """The reduced expressions valid under simple interlacing, after
-    tilde-normalization, bound for q's (lam, mu) whatever q.k: a two-term
-    difference for family B, a four-term signed sum for family D.  Raises
-    InterlacingError where mu does not simply interlace lam."""
-    q = q.normalized()
+@lru_cache(maxsize=_PAIRS)
+def _reduced_terms(
+    family: str, n: int, lam: Weight, mu: Weight
+) -> tuple[Row, tuple[tuple[int, int, int], ...]] | str:
+    """The reduced sum of one (lam, mu) pair for every k, after
+    tilde-normalization: a two-term difference for family B, a four-term
+    signed sum for family D.  Every term has the same head target, so the
+    binding is sigma's ``PartitionFunction.row`` of that head and per term
+    (sign, last coordinate at k = 0, step per unit of k), the term at k
+    being row[last + step * k].  Where mu does not simply interlace lam it
+    is the InterlacingError message instead, formatted once."""
+    q = BranchingQuery(family, n, lam, mu, 0).normalized()
     if not interlace("simple", q.family, q.lam, q.mu):
-        raise InterlacingError(
-            f"mu={q.mu} does not simply interlace lam={q.lam} (family {q.family})"
-        )
-    sigma = _sigma(q.family, q.n)
-    base = restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))
+        return f"mu={q.mu} does not simply interlace lam={q.lam} (family {q.family})"
+    *head, last = (restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))).coords2
     if q.family == FAMILY_B:
-        terms = ((1, base, -2), (-1, base.shift_last(2), 2))
+        terms = ((1, last, -2), (-1, last + 2, 2))
     else:
         l = q.lam.to_ints()
-        second_last, last = l[q.n], l[q.n + 1]
+        lam_second_last, lam_last = l[q.n], l[q.n + 1]
         terms = (
-            (1, base, -2),
-            (1, base.shift_last(-4 * last), -2),
-            (-1, base.shift_last(2 * (second_last - last + 1)), -2),
-            (-1, base.shift_last(-2 * (second_last + last + 1)), -2),
+            (1, last, -2),
+            (1, last - 4 * lam_last, -2),
+            (-1, last + 2 * (lam_second_last - lam_last + 1), -2),
+            (-1, last - 2 * (lam_second_last + lam_last + 1), -2),
         )
-    return ReducedSum(q, sigma, terms)
+    return _sigma(q.family, q.n).row(tuple(head)), terms
 
 
 def multiplicity_kostant_reduced(q: BranchingQuery) -> int:
-    """The reduced sum of q's pair at q.k."""
-    return reduced_sum(q).mult(q.k)
+    """The reduced sum of q's pair at q.k, read off the pair's binding.
+    Raises InterlacingError where mu does not simply interlace lam (after
+    tilde-normalization)."""
+    bound = _reduced_terms(q.family, q.n, q.lam, q.mu)
+    if isinstance(bound, str):
+        raise InterlacingError(bound)
+    row, terms = bound
+    k = q.k
+    total = sum(sign * row[last + step * k] for sign, last, step in terms)
+    if total < 0:
+        raise InternalInconsistencyError(f"negative reduced sum {total} for {q}")
+    return total

@@ -25,8 +25,8 @@ generators, sorts them, finds phi, the per-generator steps phi . g and the
 sign-support coordinates, and names the multiset's memo entries by a small
 integer.  The recursion carries phi . target down and subtracts phi . g per
 generator taken instead of recomputing the dot product at every node.
-``count_vector_partitions`` validates its target and counts with such a
-binding, given or looked up.
+``count_vector_partitions`` validates its target and counts with the
+binding of its generators.
 
 Whole row.  ``PartitionFunction.row(head)`` counts every target (head, last)
 at once and returns the counts by last coordinate.  It is a memo DP over
@@ -74,7 +74,8 @@ class PartitionCache:
     histogram, so the cache never changes results.  The cap
     ``max_entries`` counts cells: a count is one, a histogram one per last
     coordinate it holds, so it bounds memory whatever the mix.  An insert
-    that would pass the cap evicts the whole cache first.  A lock guards
+    that would pass the cap evicts the whole cache first, and a value
+    heavier than the cap on its own is not kept at all.  A lock guards
     lookups and inserts so the cache may be shared across threads.
     """
 
@@ -91,6 +92,8 @@ class PartitionCache:
     def put(self, key, value, cells: int = 1) -> None:
         """Keep ``value`` under ``key``; ``cells`` is its weight against the cap."""
         with self._lock:
+            if cells > self.max_entries:
+                return
             if self._cells + cells > self.max_entries:
                 self._data.clear()
                 self._cells = 0
@@ -343,34 +346,25 @@ def partition_function(generators: Iterable[Weight]) -> PartitionFunction:
     return _bind(tuple(sorted(g.coords2 for g in gens)))
 
 
-def count_vector_partitions(
-    generators: Iterable[Weight] | PartitionFunction, target: Weight
-) -> int:
+def count_vector_partitions(generators: Iterable[Weight], target: Weight) -> int:
     """Number of ways to write ``target`` as a non-negative integer
-    combination of ``generators`` (a multiset: duplicates are distinct), or
-    of the multiset a ``PartitionFunction`` is bound to.
+    combination of ``generators`` (a multiset: duplicates are distinct).
 
     Targets with non-integral coordinates give 0.  Rank mismatches and
     generator multisets without a finite count (zero generators, cones that
     are not pointed) raise DomainError.
     """
-    if isinstance(generators, PartitionFunction):
-        ranks = [generators.rank]
-    else:
-        generators = tuple(generators)
-        ranks = [g.rank for g in generators]
-    for rank in ranks:
-        if rank != target.rank:
+    generators = tuple(generators)
+    for g in generators:
+        if g.rank != target.rank:
             raise DomainError(
-                f"generator rank {rank} does not match target rank {target.rank}"
+                f"generator rank {g.rank} does not match target rank {target.rank}"
             )
     if not target.is_integral:
         return 0
     if not generators:
         return 1 if not any(target.coords2) else 0
-    if not isinstance(generators, PartitionFunction):
-        generators = partition_function(generators)
-    return generators.count(target.coords2)
+    return partition_function(generators).count(target.coords2)
 
 
 def count_sigma_prime(n: int, target: Weight) -> int:

@@ -184,15 +184,18 @@ def count_calls(monkeypatch, *targets) -> Counter:
 
 def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
     calls = count_calls(monkeypatch, (cli, "closed_form_B"), (cli, "ending_B"),
-                        (cli, "reduced_sum"), (tsukamoto, "tsukamoto_generating_function"))
+                        (tsukamoto, "tsukamoto_generating_function"))
+    kostant._reduced_terms.cache_clear()
     code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
                        "--methods", "tsukamoto,closed-form,ending,kostant-reduced")
     assert code == 0
     assert out == ("OK family=B n=2 max=2: 360 grid points agree across "
                    "tsukamoto, closed-form, ending, kostant-reduced\n")
     pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
-    assert calls == {"closed_form_B": pairs, "ending_B": pairs, "reduced_sum": pairs,
+    assert calls == {"closed_form_B": pairs, "ending_B": pairs,
                      "tsukamoto_generating_function": pairs}
+    # one reduced-sum binding per pair, n/a pairs included
+    assert kostant._reduced_terms.cache_info().misses == pairs
 
 
 def test_verify_builds_each_full_sum_once_per_pair(capsys, monkeypatch):
@@ -232,7 +235,8 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch):
     # the D grid meets lam and tilde(lam) back to back; the Tsukamoto route
     # tilde-normalizes lam, so the partner's series are the ones just built
     calls = count_calls(monkeypatch, (cli, "closed_form_D"), (cli, "ending_D"),
-                        (cli, "reduced_sum"), (tsukamoto, "tsukamoto_generating_function"))
+                        (tsukamoto, "tsukamoto_generating_function"))
+    kostant._reduced_terms.cache_clear()
     code, out, _ = run(capsys, "verify", "--family", "D", "--n", "3", "--max", "2",
                        "--methods", "tsukamoto,closed-form,ending,kostant-reduced")
     assert code == 0
@@ -241,11 +245,11 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch):
     pairs = {(lam, mu) for lam, mu, _ in cli._grid("D", 3, 2)}
     normalized = {(tilde("D", lam) if lam.coords2[-1] < 0 else lam, mu) for lam, mu in pairs}
     assert len(normalized) < len(pairs)
-    # the reduced sum is bound once per pair as the sweep names it, before
-    # it tilde-normalizes
     assert calls == {"closed_form_D": len(pairs), "ending_D": len(pairs),
-                     "reduced_sum": len(pairs),
                      "tsukamoto_generating_function": len(normalized)}
+    # the reduced sum is bound once per pair as the sweep names it, n/a pairs
+    # included: its binding is keyed before it tilde-normalizes
+    assert kostant._reduced_terms.cache_info().misses == len(pairs)
 
 
 def test_verify_tables_hold_one_lam(capsys, monkeypatch):

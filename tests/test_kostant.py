@@ -81,6 +81,50 @@ def test_reduced_equals_full_on_interlacing_grid():
                 assert multiplicity_kostant_reduced(q) == multiplicity_kostant_full(q)
 
 
+def scalar_reduced_sum(q):
+    """The two-term (B) or four-term (D) reduced sum of the tilde-normalized
+    query, each term one scalar ``PartitionFunction.count``."""
+    q = q.normalized()
+    sigma = partition_function(make_root_data(q.family, q.n).sigma)
+    base = restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))
+    if q.family == "B":
+        terms = ((1, base, -2), (-1, base.shift_last(2), 2))
+    else:
+        l = q.lam.to_ints()
+        second_last, last = l[q.n], l[q.n + 1]
+        terms = (
+            (1, base, -2),
+            (1, base.shift_last(-4 * last), -2),
+            (-1, base.shift_last(2 * (second_last - last + 1)), -2),
+            (-1, base.shift_last(-2 * (second_last + last + 1)), -2),
+        )
+    return sum(sign * sigma.count(t.shift_last(step * q.k).coords2) for sign, t, step in terms)
+
+
+@pytest.mark.parametrize("family, n, bound", [("B", 2, 3), ("B", 3, 2), ("D", 1, 3),
+                                              ("D", 2, 3), ("D", 3, 2)])
+def test_reduced_sum_matches_scalar_counts(family, n, bound):
+    # the row lookups reach below a row's span, where family D's -e_last
+    # makes the counts periodic; k runs 3 past the sweep's top
+    rank = make_root_data(family, n).g_rank
+    mus = list(iter_dominant_weights(weights.k_family(family), n, bound))
+    partners = 0
+    for lam in iter_dominant_weights(family, rank, bound):
+        k_top = sum(abs(c) for c in lam.to_ints())
+        for mu in mus:
+            q = BranchingQuery(family, n, lam, mu, 0)
+            normal = q.normalized()
+            if not interlace("simple", family, normal.lam, normal.mu):
+                with pytest.raises(InterlacingError):
+                    multiplicity_kostant_reduced(q)
+                continue
+            partners += normal != q
+            for k in range(k_top + 4):
+                q = BranchingQuery(family, n, lam, mu, k)
+                assert multiplicity_kostant_reduced(q) == scalar_reduced_sum(q), q
+    assert partners > 0
+
+
 def test_weyl_lemma_support_family_B():
     allowed = {SignedPermutation.identity(3), SignedPermutation.reflection(3, 2)}
     for q in grid_queries("B", 2, 2):
@@ -208,6 +252,7 @@ def test_orbit_is_exactly_the_usable_points(family, n):
 
 def test_orbit_and_binding_caches_are_bounded():
     assert kostant._pair_terms.cache_info().maxsize is not None
+    assert kostant._reduced_terms.cache_info().maxsize == kostant._PAIRS
     assert kostant._sigma.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
     # bounds the lams whose rows are kept; each lam's rows grow with its mus

@@ -168,7 +168,7 @@ def test_cache_is_bounded_and_evicts_wholesale():
         warm = [count_vector_partitions(rd.sigma, t) for t in targets]
         cache.set_max_entries(10_000)
         cold = _cold_binding(rd.sigma)
-        assert warm == [count_vector_partitions(cold, t) for t in targets]
+        assert warm == [cold.count(t.coords2) for t in targets]
     finally:
         cache.set_max_entries(old_limit)
 
@@ -183,7 +183,7 @@ def test_concurrent_use_of_shared_cache():
     results = {}
 
     def worker(tag):
-        results[tag] = [count_vector_partitions(cold, t) for t in targets]
+        results[tag] = [cold.count(t.coords2) for t in targets]
 
     try:
         cache.set_max_entries(100_000)
@@ -209,10 +209,10 @@ def test_bound_partition_function_counts_like_the_generator_list():
     assert partition_function(reversed(rd.sigma)) is bound  # one binding per multiset
     for coords in itertools.product(range(-2, 3), repeat=3):
         target = w(coords)
-        assert count_vector_partitions(bound, target) == count_vector_partitions(rd.sigma, target)
-    assert count_vector_partitions(bound, Weight((1, 0, 0))) == 0  # half-integral
+        assert bound.count(target.coords2) == count_vector_partitions(rd.sigma, target)
+    assert count_vector_partitions(rd.sigma, Weight((1, 0, 0))) == 0  # half-integral
     with pytest.raises(DomainError):
-        count_vector_partitions(bound, w([1, 0]))
+        count_vector_partitions(rd.sigma, w([1, 0]))
     for gens in ([], [w([1, 0]), w([1])], [w([1, 0]), w([0, 0])], [w([1, 0]), w([-1, 0])]):
         with pytest.raises(DomainError):
             partition_function(gens)
@@ -273,6 +273,15 @@ def test_cache_cap_counts_histogram_cells():
     assert len(cache) == 1
     cache.set_max_entries(1)
     assert len(cache) == 0
+
+
+def test_cache_keeps_no_value_heavier_than_its_cap():
+    cache = PartitionCache(3)
+    cache.put("count", 5)
+    cache.put("row", {0: 1}, 10)
+    # returned uncached: the cap holds, and what was kept stays
+    assert cache.get("row") is None and cache.get("count") == 5
+    assert cache._cells == 1 and len(cache) == 1
 
 
 def _idot(u, v):
