@@ -179,7 +179,7 @@ def _in_positive_root_span(family: str, d: tuple[int, ...]) -> bool:
 def _dominant_mults(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Freudenthal's recursion on the dominant weights of the irreducible
     with highest weight lam (integral, dominant)."""
-    roots2 = tuple(a.coords2 for a in algebra_positive_roots(family, rank))
+    roots2 = [(a.coords2, _ip2(a.coords2, a.coords2)) for a in algebra_positive_roots(family, rank)]
     rho2 = algebra_rho(family, rank).coords2
     lam_ints = tuple(c // 2 for c in lam2)
     top2 = tuple(a + b for a, b in zip(lam2, rho2))
@@ -202,15 +202,17 @@ def _dominant_mults(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tupl
     mults: dict[tuple[int, ...], int] = {lam2: 1}
     for eta2 in candidates[1:]:
         num = 0
-        for a2 in roots2:
-            j = 1
-            while True:
-                xi2 = tuple(e + j * a for e, a in zip(eta2, a2))
-                m = mults.get(_dominant_rep2(family, xi2))
-                if not m:
-                    break
-                num += m * _ip2(xi2, a2)
-                j += 1
+        for a2, norm in roots2:
+            # the string eta + j alpha, j = 1, 2, ..., with <xi, alpha> stepped by |alpha|^2
+            xi2 = tuple(e + a for e, a in zip(eta2, a2))
+            m = mults.get(_dominant_rep2(family, xi2))
+            if m:
+                ip = _ip2(xi2, a2)
+                while m:
+                    num += m * ip
+                    xi2 = tuple(e + a for e, a in zip(xi2, a2))
+                    ip += norm
+                    m = mults.get(_dominant_rep2(family, xi2))
         eta_rho2 = tuple(a + b for a, b in zip(eta2, rho2))
         denom = top_norm - _ip2(eta_rho2, eta_rho2)
         if denom <= 0:

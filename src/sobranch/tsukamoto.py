@@ -5,26 +5,32 @@ For each admissible tuple of summation parameters the generating function
 contributes a product of quantum brackets [l] = x^{l-1} + x^{l-3} + ... +
 x^{-(l-1)} times one antisymmetric two-term factor with half-integral
 exponent; the branching multiplicity of the SO(3) label k is the
-coefficient of x^{k+1/2} of the total.
+coefficient of x^{k+1/2} of the total.  A product of brackets is kept as a
+dense coefficient list, and multiplying it by [l] replaces each coefficient
+by the sum of a window of l of them, read off prefix sums; every tuple's
+terms go into one dict, made a ``LaurentPoly`` once per series.
 
 The series of a pair (lam, mu) carries every label k at once, so
 ``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that is built
-once per (family, lam, mu).  ``_row`` keeps the rows of the last two lam
-(after tilde-normalization), which covers a family D sweep meeting lam and
-its tilde partner back to back.  The store is bounded by the mus queried
-with those two lam, not by ``_ROWS``: a pair whose series is zero keeps an
-empty row, and a pair that raises is not kept (it raises again on the next
+once per tilde-normalized (family, lam, mu).  ``_row`` keeps the rows of
+the last two lam as queried; a family D lam with a negative last coordinate
+shares the rows of its tilde partner, which a family D sweep meets just
+before it, so a grid point costs lookups only and the pair is normalized
+only when its row is built.  The store is bounded by the mus queried with
+those two lam, not by ``_ROWS``: a pair whose series is zero keeps an empty
+row, and a pair that raises is not kept (it raises again on the next
 call).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
-from .weights import FAMILY_B, FAMILY_D, BranchingQuery, Weight, check_pair, interlace
+from .weights import FAMILY_B, FAMILY_D, BranchingQuery, Weight, check_pair, interlace, tilde
 
 
 class LaurentPoly:
@@ -112,11 +118,6 @@ def quantum_bracket(l: int) -> LaurentPoly:
     return LaurentPoly({e2: 1 for e2 in range(-2 * (l - 1), 2 * (l - 1) + 1, 4)})
 
 
-def _pair(l2: int) -> LaurentPoly:
-    """x^(l2/2) - x^(-l2/2)."""
-    return LaurentPoly({l2: 1, -l2: -1})
-
-
 @dataclass(frozen=True)
 class ATuple:
     """One admissible parameter tuple with its quantum-bracket arguments.
@@ -139,57 +140,36 @@ def _check_atuple(a: tuple[int, ...], l2: tuple[int, ...]) -> ATuple:
     return ATuple(a, l2)
 
 
-def _boxes_to_tuples(lows, highs) -> Iterator[tuple[int, ...]]:
-    n = len(lows)
-
-    def rec(i: int, prev: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield acc
-            return
-        for v in range(lows[i], min(highs[i], prev) + 1):
-            yield from rec(i + 1, v, acc + (v,))
-
-    yield from rec(0, max(highs, default=0), ())
+def _boxes_to_tuples(lows, highs) -> list[tuple[int, ...]]:
+    """Every weakly decreasing tuple with lows[i] <= a[i] <= highs[i]."""
+    tuples = [()]
+    for lo, hi in zip(lows, highs):
+        tuples = [a + (v,) for a in tuples for v in range(lo, min(hi, a[-1] if a else hi) + 1)]
+    return tuples
 
 
 def _atuples_B(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:
     n = len(mu)
-    l1 = {i + 1: v for i, v in enumerate(lam)}
-    l1[n + 2] = l1[n + 3] = 0
-    m1 = {i + 1: v for i, v in enumerate(mu)}
-    m1[0] = l1[1]
-    lows = [max(m1[i], l1[i + 2]) for i in range(1, n)]
-    highs = [min(m1[i - 1], l1[i]) for i in range(1, n)]
-    lows.append(max(abs(m1[n]), l1[n + 2]))
-    highs.append(min(m1[n - 1], l1[n]))
+    L = lam + (0, 0)  # L[i - 1] is lam_i, 1 <= i <= n + 3
+    M = lam[:1] + mu  # M[i] is mu_i, with mu_0 = lam_1
+    lows = [max(M[i], L[i + 1]) for i in range(1, n)] + [max(abs(M[n]), L[n + 1])]
+    highs = [min(M[i - 1], L[i - 1]) for i in range(1, n + 1)]
     for a in _boxes_to_tuples(lows, highs):
-        a1 = {i + 1: v for i, v in enumerate(a)}
-        a1[0] = l1[1]
-        l2 = []
-        for i in range(1, n + 1):
-            l2.append(2 * (min(l1[i], a1[i - 1]) - max(l1[i + 1], a1[i]) + 1))
-        l2.append(2 * min(l1[n + 1], a1[n]) + 1)
-        yield _check_atuple(a, tuple(l2))
+        A = lam[:1] + a  # A[i] is a_i, with a_0 = lam_1
+        l2 = [2 * (min(L[i - 1], A[i - 1]) - max(L[i], A[i]) + 1) for i in range(1, n + 1)]
+        yield _check_atuple(a, tuple(l2) + (2 * min(L[n], A[n]) + 1,))
 
 
 def _atuples_D(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:
     n = len(mu)
-    l1 = {i + 1: v for i, v in enumerate(lam)}
-    l1[n + 3] = 0
-    m1 = {i + 1: v for i, v in enumerate(mu)}
-    m1[0] = m1[-1] = l1[1]
-    m1[n + 1] = 0
-    lows = [max(m1[i], l1[i + 1]) for i in range(1, n + 1)]
-    highs = [min(m1[i - 2], l1[i]) for i in range(1, n + 1)]
-    lows.append(abs(l1[n + 2]))
-    highs.append(min(m1[n - 1], l1[n + 1]))
+    L = lam + (0,)  # L[i - 1] is lam_i, 1 <= i <= n + 3
+    M = lam[:1] * 2 + mu + (0,)  # M[i + 1] is mu_i, with mu_0 = mu_-1 = lam_1, mu_n+1 = 0
+    lows = [max(M[i + 1], L[i]) for i in range(1, n + 1)] + [abs(L[n + 1])]
+    highs = [min(M[i - 1], L[i - 1]) for i in range(1, n + 1)] + [min(M[n], L[n])]
     for a in _boxes_to_tuples(lows, highs):
-        a1 = {i + 1: v for i, v in enumerate(a)}
-        l2 = []
-        for i in range(1, n + 1):
-            l2.append(2 * (min(m1[i - 1], a1[i]) - max(m1[i], a1[i + 1]) + 1))
-        l2.append(2 * min(m1[n], a1[n + 1]) + 1)
-        yield _check_atuple(a, tuple(l2))
+        # a[i - 1] is a_i, 1 <= i <= n + 1
+        l2 = [2 * (min(M[i], a[i - 1]) - max(M[i + 1], a[i]) + 1) for i in range(1, n + 1)]
+        yield _check_atuple(a, tuple(l2) + (2 * min(M[n + 1], a[n]) + 1,))
 
 
 def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...]:
@@ -201,20 +181,34 @@ def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...
     return tuple(_atuples_D(lam.to_ints(), mu.to_ints()))
 
 
+def _bracket_product(ls) -> list[int]:
+    """prod_i [l_i] as its coefficient list c, c[j] the coefficient of
+    x^(d - 2j) with d = sum_i (l_i - 1).  Multiplying by [l] makes each new
+    coefficient the sum of a window of l old ones, taken off prefix sums."""
+    c = [1]
+    for l in ls:
+        prefix = list(itertools.accumulate(c, initial=0))
+        width = len(c)
+        c = [prefix[min(j + 1, width)] - prefix[max(j + 1 - l, 0)] for j in range(width + l - 1)]
+    return c
+
+
 def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> LaurentPoly:
     """Sum over admissible tuples of prod_i [l_i] times the final two-term
-    factor.  Returns the zero polynomial when triple interlacing fails, in
-    which case no SO(3) component occurs at all; ``interlace`` rejects an
-    invalid pair with DomainError."""
+    factor x^(l/2) - x^(-l/2).  Returns the zero polynomial when triple
+    interlacing fails, in which case no SO(3) component occurs at all;
+    ``interlace`` rejects an invalid pair with DomainError."""
     if not interlace("triple", family, lam, mu):
         return LaurentPoly.zero()
-    total = LaurentPoly.zero()
+    total: dict[int, int] = {}
     for at in enumerate_atuples(family, lam, mu):
-        term = _pair(at.l2[-1])
-        for l2 in at.l2[:-1]:
-            term = term * quantum_bracket(l2 // 2)
-        total = total + term
-    return total
+        c = _bracket_product([l2 // 2 for l2 in at.l2[:-1]])
+        top, last = 2 * (len(c) - 1), at.l2[-1]
+        for j, cj in enumerate(c):
+            e2 = top - 4 * j  # doubled exponent of c[j]
+            total[e2 + last] = total.get(e2 + last, 0) + cj
+            total[e2 - last] = total.get(e2 - last, 0) - cj
+    return LaurentPoly(total)
 
 
 def extract_multiplicities(p: LaurentPoly) -> dict[int, int]:
@@ -242,17 +236,21 @@ _ROWS = 2
 def _row(family: str, lam: Weight) -> dict[Weight, dict[int, int]]:
     """mu -> (k -> m_k) for every mu queried with lam so far, so it grows
     with those mus; filled by ``multiplicity_tsukamoto`` (two threads may
-    both build a row; they store equal ones)."""
+    both build a row; they store equal ones).  A family D lam with a
+    negative last coordinate shares the rows of tilde(lam)."""
+    if family == FAMILY_D and lam.coords2[-1] < 0:
+        return _row(family, tilde(family, lam))
     return {}
 
 
 def multiplicity_tsukamoto(q: BranchingQuery) -> int:
-    """Branching multiplicity read off the generating function.  Family D
-    queries are tilde-normalized first; family B handles a negative last
-    coordinate of mu directly."""
-    if q.family == FAMILY_D:
-        q = q.normalized()
+    """Branching multiplicity read off the generating function.  A family D
+    pair is tilde-normalized when its row is built; family B handles a
+    negative last coordinate of mu directly."""
     rows = _row(q.family, q.lam)
-    if q.mu not in rows:
-        rows[q.mu] = extract_multiplicities(tsukamoto_generating_function(q.family, q.lam, q.mu))
-    return rows[q.mu].get(q.k, 0)
+    row = rows.get(q.mu)
+    if row is None:
+        p = q.normalized() if q.family == FAMILY_D else q
+        row = rows[q.mu] = extract_multiplicities(
+            tsukamoto_generating_function(p.family, p.lam, p.mu))
+    return row.get(q.k, 0)

@@ -28,6 +28,7 @@ route answers.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -379,31 +380,36 @@ def tilde(family: str, w: Weight) -> Weight:
     return w.with_last_negated()
 
 
-@dataclass(frozen=True)
-class BranchingQuery:
+class BranchingQuery(namedtuple("BranchingQuery", "family n lam mu k")):
     """One branching question: how often does the subgroup irreducible with
     highest weight ``mu`` tensored with the (2k+1)-dimensional SO(3)
     representation occur in the ambient irreducible with highest weight
-    ``lam``."""
+    ``lam``.
 
-    family: str
-    n: int
-    lam: Weight
-    mu: Weight
-    k: int
+    An immutable named tuple of those fields, built once per (grid point,
+    method) of a sweep, so it is validated in one step: every way to make
+    one (the constructor, ``_make``, ``_replace``, copy and pickle) runs
+    ``check_pair`` and the test of k."""
 
-    def __post_init__(self) -> None:
-        check_pair(self.family, self.n, self.lam, self.mu)
-        if self.k < 0:
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int, lam: Weight, mu: Weight, k: int) -> "BranchingQuery":
+        check_pair(family, n, lam, mu)
+        if k < 0:
             raise DomainError("k must be non-negative")
+        return tuple.__new__(cls, (family, n, lam, mu, k))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "BranchingQuery":
+        return cls(*fields)
 
     def normalized(self) -> "BranchingQuery":
         """Tilde-normalize: last coordinate of mu (family B) or lam (family D)
         made non-negative.  Multiplicities are invariant under this."""
         if self.family == FAMILY_B and self.mu.coords2[-1] < 0:
-            return BranchingQuery(self.family, self.n, self.lam, tilde(FAMILY_B, self.mu), self.k)
+            return self._replace(mu=tilde(FAMILY_B, self.mu))
         if self.family == FAMILY_D and self.lam.coords2[-1] < 0:
-            return BranchingQuery(self.family, self.n, tilde(FAMILY_D, self.lam), self.mu, self.k)
+            return self._replace(lam=tilde(FAMILY_D, self.lam))
         return self
 
 
@@ -419,6 +425,13 @@ def restrict(family: str, w: Weight) -> Weight:
     return w.drop_index(w.rank - 2)
 
 
+#: root systems kept for ``algebra_positive_roots`` and ``algebra_rho``, one
+#: per (family, rank); the oracle reads them at every Freudenthal recursion
+#: and dimension check
+_ALGEBRAS = 16
+
+
+@lru_cache(maxsize=_ALGEBRAS)
 def algebra_positive_roots(family: str, rank: int) -> tuple[Weight, ...]:
     """Positive roots of B_rank (e_i +- e_j, i<j, and all e_i) or of D_rank
     (e_i +- e_j only), in the lexicographic positive system."""
@@ -436,6 +449,7 @@ def algebra_positive_roots(family: str, rank: int) -> tuple[Weight, ...]:
     return tuple(roots)
 
 
+@lru_cache(maxsize=_ALGEBRAS)
 def algebra_rho(family: str, rank: int) -> Weight:
     """Half the sum of the positive roots: coordinates rank-i+1/2 (type B)
     or rank-i (type D) at position i."""

@@ -119,6 +119,29 @@ def test_denominator_exactness():
             assert assembled == raw
 
 
+def reference_series(family, lam, mu):
+    """The series as a sum of LaurentPoly products of quantum brackets."""
+    total = LaurentPoly.zero()
+    if interlace("triple", family, lam, mu):
+        for at in enumerate_atuples(family, lam, mu):
+            term = pair(at.l2[-1])
+            for l2 in at.l2[:-1]:
+                term = term * quantum_bracket(l2 // 2)
+            total = total + term
+    return total
+
+
+@pytest.mark.parametrize("family, n, bound", [
+    ("B", 2, 4), ("B", 3, 3), ("B", 4, 2), ("D", 2, 3), ("D", 3, 2),
+])
+def test_window_sum_series_matches_bracket_products(family, n, bound):
+    # every pair of these verify grids, 4,354 a-tuples with brackets [l] up to l = bound + 1
+    pairs = {(lam, mu) for lam, mu, _ in cli._grid(family, n, bound)}
+    for lam, mu in pairs:
+        assert tsukamoto_generating_function(family, lam, mu) == reference_series(
+            family, lam, mu), (lam, mu)
+
+
 def test_extract_multiplicities():
     assert extract_multiplicities(pair(3)) == {1: 1}
     series = LaurentPoly({1: 2, -1: -2}) + pair(5)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from sobranch.errors import DomainError
 from sobranch.weights import (
+    BranchingQuery,
     SignedPermutation,
     algebra_positive_roots,
     algebra_rho,
@@ -242,3 +245,51 @@ def test_iter_dominant_weights():
     assert [x.to_ints() for x in b] == [(1, 1), (1, 0), (0, 0)]
     d = list(iter_dominant_weights("D", 2, 1))
     assert [x.to_ints() for x in d] == [(1, 1), (1, -1), (1, 0), (0, 0)]
+
+
+VALID_QUERY = ("D", 1, w([2, 1, -1]), w([1]), 1)
+BAD_QUERIES = [
+    ("B", 1, w([1, 0]), w([0]), 0),  # n below the family's minimum
+    ("B", 2, w([0, 1, 0]), w([0, 0]), 0),  # lam not dominant
+    ("D", 1, w([2, 1, -1]), w([1, 0]), 1),  # mu of the wrong rank
+    ("D", 1, w([2, 1, -1]), w([1]), -1),  # k < 0
+]
+
+
+@pytest.mark.parametrize("fields", BAD_QUERIES)
+def test_every_way_to_make_a_query_validates_it(fields):
+    q = BranchingQuery(*VALID_QUERY)
+    # pickle and copy rebuild a query from __reduce_ex__ through __new__
+    rebuild, (cls, *_) = q.__reduce_ex__(2)[:2]
+    for make in (
+        lambda: BranchingQuery(*fields),
+        lambda: BranchingQuery._make(fields),
+        lambda: q._replace(**dict(zip(BranchingQuery._fields, fields))),
+        lambda: rebuild(cls, *fields),
+    ):
+        with pytest.raises(DomainError):
+            make()
+
+
+def test_query_is_an_immutable_value():
+    q = BranchingQuery(*VALID_QUERY)
+    with pytest.raises(AttributeError):
+        q.k = 2
+    with pytest.raises(AttributeError):
+        q.extra = 0
+    twin = BranchingQuery("D", 1, w([2, 1, -1]), w([1]), 1)
+    assert twin == q and hash(twin) == hash(q) and twin is not q
+    assert q != q._replace(k=2)
+    for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(other) is BranchingQuery and other == q and hash(other) == hash(q)
+    assert repr(q) == "BranchingQuery(family='D', n=1, lam=(2, 1, -1), mu=(1), k=1)"
+
+
+def test_normalized_returns_a_query():
+    for fields, want in (
+        (VALID_QUERY, ("D", 1, w([2, 1, 1]), w([1]), 1)),
+        (("B", 2, w([2, 1, 1]), w([2, -1]), 3), ("B", 2, w([2, 1, 1]), w([2, 1]), 3)),
+        (("B", 2, w([2, 1, 0]), w([1, 0]), 0), ("B", 2, w([2, 1, 0]), w([1, 0]), 0)),
+    ):
+        got = BranchingQuery(*fields).normalized()
+        assert type(got) is BranchingQuery and got == BranchingQuery(*want)
