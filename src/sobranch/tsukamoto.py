@@ -11,15 +11,13 @@ by the sum of a window of l of them, read off prefix sums; every tuple's
 terms go into one dict, made a ``LaurentPoly`` once per series.
 
 The series of a pair (lam, mu) carries every label k at once, so
-``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that is built
-once per tilde-normalized (family, lam, mu).  ``_row`` keeps the rows of
-the last two lam as queried; a family D lam with a negative last coordinate
-shares the rows of its tilde partner, which a family D sweep meets just
-before it, so a grid point costs lookups only and the pair is normalized
-only when its row is built.  The store is bounded by the mus queried with
-those two lam, not by ``_ROWS``: a pair whose series is zero keeps an empty
-row, and a pair that raises is not kept (it raises again on the next
-call).
+``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that
+``_pair_row`` binds once per pair into a bounded LRU, like both Kostant
+sums.  A family D lam with a negative last coordinate reads the row of its
+tilde partner, which a family D sweep meets just before it, so the series
+is built once per tilde-normalized (family, lam, mu) and a grid point costs
+lookups only.  A pair whose series is zero keeps an empty row, and a pair
+that raises is not kept (it raises again on the next call).
 """
 
 from __future__ import annotations
@@ -227,30 +225,24 @@ def extract_multiplicities(p: LaurentPoly) -> dict[int, int]:
     return out
 
 
-#: lam whose rows are kept; a verify sweep walks one lam at a time through
-#: all its (mu, k), and under family D meets lam and tilde(lam) back to back
-_ROWS = 2
+#: pairs whose rows are kept.  A family D sweep meets the N mu of lam, then
+#: the N mu of tilde(lam), and the i-th of the latter reads its partner row
+#: after N + i - 2 newer entries, so a sweep needs 2N - 1; 128 holds N <= 64
+#: (D n=7 max=2 has N = 36, which 64 entries would not hold)
+_PAIR_ROWS = 128
 
 
-@lru_cache(maxsize=_ROWS)
-def _row(family: str, lam: Weight) -> dict[Weight, dict[int, int]]:
-    """mu -> (k -> m_k) for every mu queried with lam so far, so it grows
-    with those mus; filled by ``multiplicity_tsukamoto`` (two threads may
-    both build a row; they store equal ones).  A family D lam with a
-    negative last coordinate shares the rows of tilde(lam)."""
+@lru_cache(maxsize=_PAIR_ROWS)
+def _pair_row(family: str, lam: Weight, mu: Weight) -> dict[int, int]:
+    """k -> m_k for the pair (lam, mu).  A family D lam with a negative last
+    coordinate reads the row of its tilde partner, which a family D sweep
+    has just built; family B handles a negative last coordinate of mu
+    directly."""
     if family == FAMILY_D and lam.coords2[-1] < 0:
-        return _row(family, tilde(family, lam))
-    return {}
+        return _pair_row(family, tilde(family, lam), mu)
+    return extract_multiplicities(tsukamoto_generating_function(family, lam, mu))
 
 
 def multiplicity_tsukamoto(q: BranchingQuery) -> int:
-    """Branching multiplicity read off the generating function.  A family D
-    pair is tilde-normalized when its row is built; family B handles a
-    negative last coordinate of mu directly."""
-    rows = _row(q.family, q.lam)
-    row = rows.get(q.mu)
-    if row is None:
-        p = q.normalized() if q.family == FAMILY_D else q
-        row = rows[q.mu] = extract_multiplicities(
-            tsukamoto_generating_function(p.family, p.lam, p.mu))
-    return row.get(q.k, 0)
+    """Branching multiplicity read off the generating function."""
+    return _pair_row(q.family, q.lam, q.mu).get(q.k, 0)

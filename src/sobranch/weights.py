@@ -280,7 +280,10 @@ def is_dominant(family: str, w: Weight) -> bool:
 
 def iter_dominant_weights(family: str, rank: int, max_first: int) -> Iterator[Weight]:
     """All dominant integral weights whose first coordinate is at most
-    ``max_first``, in decreasing lexicographic order."""
+    ``max_first``: those with a non-negative last coordinate in decreasing
+    lexicographic order, under family D each positive one followed by its
+    sign twin, so (1, -1) comes before (1, 0).  The verify grid walks this
+    order."""
     check_family(family)
     if rank < 1:
         raise DomainError("rank must be positive")

@@ -3,21 +3,33 @@ equality), grid bounds and time limits pinned below.  The conftest prints a
 one-line PASS/FAIL summary per criterion at the end of the run."""
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import pytest
 
 from sobranch import cli
-from sobranch.clebsch_gordan import So3MultiSet, so3_tensor_decompose, su2_tensor_multiplicity
+from sobranch.clebsch_gordan import (
+    So3MultiSet,
+    closed_form_B,
+    closed_form_D,
+    so3_tensor_decompose,
+    su2_tensor_multiplicity,
+)
 from sobranch.errors import CoincidencePatternError
+from sobranch.kostant import multiplicity_kostant_full, multiplicity_kostant_reduced
 from sobranch.oracle import branch_oracle, weight_multiplicities, weyl_dim, xi
 from sobranch.partition import count_sigma_prime, count_vector_partitions
+from sobranch.tsukamoto import extract_multiplicities, tsukamoto_generating_function
 from sobranch.u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle
 from sobranch.weights import (
+    BranchingQuery,
     Weight,
+    g_rank,
     interlace,
     iter_dominant_weights,
+    k_family,
     make_root_data,
     tilde,
 )
@@ -282,3 +294,44 @@ def test_criterion_11_tilde_invariance(sweep_b, sweep_d1, sweep_d2):
             for key, row in record.rows.items():
                 assert row["kostant-full"] == partner.rows[key]["kostant-full"]
             assert record.table == partner.table
+
+
+def _paper_factor_dimensions(family: str, lam: Weight, mu: Weight) -> list[int]:
+    """The dimensions of the paper's factors of the multiplicity space of a
+    simply interlacing pair, from lam and mu alone: the ladder
+    tau_t + tau_{t-2} + ... has dimension T(t) = (t+1)(t+2)/2."""
+    n = mu.rank
+    l, m = lam.to_ints(), mu.to_ints()
+    ladder = lambda t: (t + 1) * (t + 2) // 2
+    if family == "B":
+        return [2 * l[n] + 1] + [ladder(l[j] - abs(m[j])) for j in range(n)]
+    return [(l[n] + 1) ** 2 - l[n + 1] ** 2] + [ladder(l[j] - m[j]) for j in range(n)]
+
+
+def test_criterion_12_tensor_product_theorem_at_n5_to_n8():
+    start = time.monotonic()
+    pairs = 0
+    for family in ("B", "D"):
+        for n in range(5, 9):
+            m_paper = 2 * n if family == "B" else 2 * n + 1
+            closed_form = closed_form_B if family == "B" else closed_form_D
+            for lam in iter_dominant_weights(family, g_rank(family, n), 2):
+                for mu in iter_dominant_weights(k_family(family), n, 2):
+                    if not interlace("simple", family, lam, mu):
+                        continue
+                    pairs += 1
+                    dims = _paper_factor_dimensions(family, lam, mu)
+                    assert len(dims) == (m_paper + 2) // 2
+                    row = extract_multiplicities(tsukamoto_generating_function(family, lam, mu))
+                    assert sum(mk * (2 * k + 1) for k, mk in row.items()) == math.prod(dims), (
+                        family, lam, mu)
+                    form = closed_form(lam, mu)
+                    for k in range(max(row) + 2):
+                        q = BranchingQuery(family, n, lam, mu, k)
+                        values = {form.mult(k), row.get(k, 0), multiplicity_kostant_reduced(q)}
+                        if n <= 6:
+                            values.add(multiplicity_kostant_full(q))
+                        assert len(values) == 1, (q, values)
+    assert pairs == 1224
+    assert time.monotonic() - start < 60.0
+    print(f"criterion 12: {pairs} simply interlacing pairs at n = 5-8 factor as the paper says")

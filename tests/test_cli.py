@@ -178,7 +178,7 @@ def count_calls(monkeypatch, *targets) -> Counter:
 
     for module, name in targets:
         counting(module, name)
-    tsukamoto._row.cache_clear()
+    tsukamoto._pair_row.cache_clear()
     return calls
 
 
@@ -231,18 +231,20 @@ def test_full_sum_probe_at_D_n7_places_lam_for_its_mu(capsys):
     assert (code, out) == (0, f"mu={mu} k=9   kostant-full    1\nmu={mu} k=9   tsukamoto       1\n")
 
 
-def test_verify_builds_each_family_D_series_once(capsys, monkeypatch):
+@pytest.mark.parametrize("n, points", [(3, 1770), (7, 25020)], ids=["n3", "n7"])
+def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points):
     # the D grid meets lam and tilde(lam) back to back; the Tsukamoto route
-    # tilde-normalizes lam, so the partner's series are the ones just built
+    # reads the partner's rows, so the LRU must hold 2N - 1 rows for the N
+    # mus of a lam: N = 36 at n=7 max=2
     calls = count_calls(monkeypatch, (cli, "closed_form_D"), (cli, "ending_D"),
                         (tsukamoto, "tsukamoto_generating_function"))
     kostant._reduced_terms.cache_clear()
-    code, out, _ = run(capsys, "verify", "--family", "D", "--n", "3", "--max", "2",
+    code, out, _ = run(capsys, "verify", "--family", "D", "--n", str(n), "--max", "2",
                        "--methods", "tsukamoto,closed-form,ending,kostant-reduced")
     assert code == 0
-    assert out == ("OK family=D n=3 max=2: 1770 grid points agree across "
+    assert out == (f"OK family=D n={n} max=2: {points} grid points agree across "
                    "tsukamoto, closed-form, ending, kostant-reduced\n")
-    pairs = {(lam, mu) for lam, mu, _ in cli._grid("D", 3, 2)}
+    pairs = {(lam, mu) for lam, mu, _ in cli._grid("D", n, 2)}
     normalized = {(tilde("D", lam) if lam.coords2[-1] < 0 else lam, mu) for lam, mu in pairs}
     assert len(normalized) < len(pairs)
     assert calls == {"closed_form_D": len(pairs), "ending_D": len(pairs),

@@ -255,8 +255,7 @@ def test_orbit_and_binding_caches_are_bounded():
     assert kostant._reduced_terms.cache_info().maxsize == kostant._PAIRS
     assert kostant._sigma.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
-    # bounds the lams whose rows are kept; each lam's rows grow with its mus
-    assert tsukamoto._row.cache_info().maxsize is not None
+    assert tsukamoto._pair_row.cache_info().maxsize == tsukamoto._PAIR_ROWS == 128
     assert weights.check_pair.cache_info().maxsize is not None
     assert weights.weyl_elements.cache_info().maxsize is not None
     assert weights.sign_patterns.cache_info().maxsize is not None

@@ -1,5 +1,6 @@
 """The routes stay independent: each module imports only the shared base
-(weights, partition, errors) it is allowed, never another route."""
+(weights, partition, errors) it is allowed, never another route.  Every
+memo in the package is bounded."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,75 @@ def relative_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_its_allowed_layers(module):
     assert relative_imports(module) <= ALLOWED[module], module
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Line numbers of every use of functools' lru_cache or cache that does
+    not pass a maxsize given as an int literal or a module-level int
+    constant: a bare decorator, ``cache`` itself, or ``maxsize=None``."""
+    tree = ast.parse(source)
+    constants = {
+        node.targets[0].id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+    }
+    imported = {  # local name -> functools name
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHES
+    }
+
+    def cache_kind(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return imported.get(node.id)
+        if (isinstance(node, ast.Attribute) and node.attr in CACHES
+                and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            return node.attr
+        return None
+
+    def bounded(arg) -> bool:
+        if isinstance(arg, ast.Constant):
+            return type(arg.value) is int
+        return isinstance(arg, ast.Name) and arg.id in constants
+
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    bad = []
+    for node in ast.walk(tree):
+        kind = cache_kind(node)
+        if kind is None:
+            continue
+        call = calls.get(id(node))
+        sizes = []
+        if call is not None:
+            sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+        if kind == "cache" or len(sizes) != 1 or not bounded(sizes[0]):
+            bad.append(node.lineno)
+    return bad
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from functools import lru_cache\nN = 4\n@lru_cache(maxsize=N)\ndef f(x): pass\n", False),
+    ("from functools import lru_cache\n@lru_cache(8)\ndef f(x): pass\n", False),
+    ("from functools import lru_cache\n@lru_cache\ndef f(x): pass\n", True),
+    ("from functools import lru_cache\n@lru_cache()\ndef f(x): pass\n", True),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass\n", True),
+    ("import functools\n@functools.lru_cache(maxsize=size())\ndef f(x): pass\n", True),
+    ("from functools import cache\n@cache\ndef f(x): pass\n", True),
+    ("import functools\ng = functools.cache(len)\n", True),
+    ("from functools import lru_cache as memo\n@memo\ndef f(x): pass\n", True),
+    ("cache = {}\ncache[1] = 2\n", False),
+])
+def test_cache_scan_flags_every_unbounded_form(source, flagged):
+    assert bool(unbounded_caches(source)) == flagged

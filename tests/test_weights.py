@@ -245,6 +245,17 @@ def test_iter_dominant_weights():
     assert [x.to_ints() for x in b] == [(1, 1), (1, 0), (0, 0)]
     d = list(iter_dominant_weights("D", 2, 1))
     assert [x.to_ints() for x in d] == [(1, 1), (1, -1), (1, 0), (0, 0)]
+    # B: strictly decreasing lexicographic; D: the same on the weights with a
+    # non-negative last coordinate, each positive one followed by its twin
+    for rank, max_first in [(1, 3), (3, 2), (4, 2)]:
+        b = [x.to_ints() for x in iter_dominant_weights("B", rank, max_first)]
+        assert b == sorted(set(b), reverse=True)
+        d = [x.to_ints() for x in iter_dominant_weights("D", rank, max_first)]
+        assert [t for t in d if t[-1] >= 0] == b
+        assert len(d) == len(set(d)) == len(b) + sum(t[-1] > 0 for t in b)
+        for i, t in enumerate(d):
+            if t[-1] > 0:
+                assert d[i + 1] == t[:-1] + (-t[-1],)
 
 
 VALID_QUERY = ("D", 1, w([2, 1, -1]), w([1]), 1)
