@@ -23,7 +23,7 @@ that raises is not kept (it raises again on the next call).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
@@ -116,8 +116,7 @@ def quantum_bracket(l: int) -> LaurentPoly:
     return LaurentPoly({e2: 1 for e2 in range(-2 * (l - 1), 2 * (l - 1) + 1, 4)})
 
 
-@dataclass(frozen=True)
-class ATuple:
+class ATuple(namedtuple("ATuple", "a l2")):
     """One admissible parameter tuple with its quantum-bracket arguments.
 
     ``a`` is weakly decreasing with a[-1] >= 0 inside the box constraints of
@@ -126,8 +125,7 @@ class ATuple:
     bounds are forced by the boxes and asserted during enumeration).
     """
 
-    a: tuple[int, ...]
-    l2: tuple[int, ...]
+    __slots__ = ()
 
 
 def _check_atuple(a: tuple[int, ...], l2: tuple[int, ...]) -> ATuple:

@@ -8,8 +8,9 @@ torus characters and strips SO(3) character strings greedily from the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from typing import Iterable
 
 from .clebsch_gordan import So3MultiSet, so3_tensor_decompose
 from .errors import (
@@ -20,20 +21,22 @@ from .errors import (
 from .weights import FAMILY_B, FAMILY_D, Weight, check_pair
 
 
-@dataclass(frozen=True, slots=True)
-class U3Weight:
+class U3Weight(namedtuple("U3Weight", "a1 a2 a3")):
     """A dominant U(3) highest weight: three weakly decreasing integers."""
 
-    a1: int
-    a2: int
-    a3: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for v in (self.a1, self.a2, self.a3):
+    def __new__(cls, a1: int, a2: int, a3: int) -> "U3Weight":
+        for v in (a1, a2, a3):
             if not isinstance(v, int):
                 raise DomainError("U(3) weight coordinates must be integers")
-        if not self.a1 >= self.a2 >= self.a3:
-            raise DomainError(f"({self.a1},{self.a2},{self.a3}) is not weakly decreasing")
+        if not a1 >= a2 >= a3:
+            raise DomainError(f"({a1},{a2},{a3}) is not weakly decreasing")
+        return tuple.__new__(cls, (a1, a2, a3))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "U3Weight":
+        return cls(*fields)
 
     def shifted(self, s: int) -> "U3Weight":
         return U3Weight(self.a1 + s, self.a2 + s, self.a3 + s)

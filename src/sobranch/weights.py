@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -56,29 +55,27 @@ def check_family_n(family: str, n: int) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Weight:
+class Weight(namedtuple("Weight", "coords2")):
     """A vector of exact half-integer coordinates in the epsilon-basis.
 
     ``coords2[i]`` holds twice the i-th coordinate.  Weights compare
-    lexicographically, first coordinate most significant.  The hash is
-    taken once, at construction: a sweep looks the same weights up in its
-    memos at every grid point.
+    lexicographically, first coordinate most significant.  A validated
+    named tuple like ``BranchingQuery``: it also equals ``(coords2,)`` and
+    has length 1, so the rank is ``rank``, never ``len``.
     """
 
-    coords2: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coords2, tuple):
-            object.__setattr__(self, "coords2", tuple(self.coords2))
-        for c in self.coords2:
+    def __new__(cls, coords2: Iterable[int]) -> "Weight":
+        coords2 = tuple(coords2)
+        for c in coords2:
             if not isinstance(c, int):
                 raise DomainError("doubled coordinates must be plain integers")
-        object.__setattr__(self, "_hash", hash(self.coords2))
+        return tuple.__new__(cls, (coords2,))
 
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Weight":
+        return cls(*fields)
 
     @classmethod
     def of_ints(cls, coords: Iterable[int]) -> "Weight":
@@ -143,8 +140,9 @@ class Weight:
 
 
 #: inversion parities kept: 8! = 40,320, every permutation of one rank-8
-#: group (family D, n = 6), so that an orbit build of that rank does not
-#: evict its own entries
+#: group (family D, n = 6), so ``oracle.xi``'s walk of it (a ``sign`` per
+#: element) keeps its own entries.  ``kostant._pair_terms`` reads one per
+#: placement: 36 on verify B n=3 max=1 ``all``, none without kostant-full
 _PARITIES = 40_320
 
 
@@ -156,8 +154,7 @@ def _inversion_parity(perm: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "perm flips")):
     """A Weyl group element: permute the coordinates, then negate the
     coordinates listed in ``flips``.
 
@@ -165,14 +162,18 @@ class SignedPermutation:
     of the image of w is +/- the perm^{-1}(j)-th coordinate of w.
     """
 
-    perm: tuple[int, ...]
-    flips: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise DomainError(f"{self.perm} is not a permutation of 0..{len(self.perm)-1}")
-        if not all(0 <= f < len(self.perm) for f in self.flips):
+    def __new__(cls, perm: tuple[int, ...], flips: frozenset[int]) -> "SignedPermutation":
+        if sorted(perm) != list(range(len(perm))):
+            raise DomainError(f"{perm} is not a permutation of 0..{len(perm)-1}")
+        if not all(0 <= f < len(perm) for f in flips):
             raise DomainError("flip index out of range")
+        return tuple.__new__(cls, (perm, flips))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "SignedPermutation":
+        return cls(*fields)
 
     @classmethod
     def identity(cls, rank: int) -> "SignedPermutation":
@@ -251,7 +252,8 @@ def sign_patterns(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...]], 
     return tuple(patterns)
 
 
-#: whole Weyl groups kept; only ``oracle.xi`` and the tests walk them
+#: whole Weyl groups kept; only ``oracle.xi``, the tests and the
+#: benchmark's set-up (one group per (family, n), two at most) build them
 _WEYL_GROUPS = 2
 
 
@@ -462,8 +464,7 @@ def algebra_rho(family: str, rank: int) -> Weight:
     return Weight(tuple(2 * (rank - i) for i in range(1, rank + 1)))
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(namedtuple("RootData", "family n rho_g sigma")):
     """All root-theoretic data needed by the branching algorithms for one
     family and one parameter n.
 
@@ -472,10 +473,7 @@ class RootData:
     is the SO(3) direction.
     """
 
-    family: str
-    n: int
-    rho_g: Weight
-    sigma: tuple[Weight, ...]
+    __slots__ = ()
 
     @property
     def g_rank(self) -> int:

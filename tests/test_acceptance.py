@@ -316,6 +316,7 @@ def test_criterion_12_tensor_product_theorem_at_n5_to_n8():
             m_paper = 2 * n if family == "B" else 2 * n + 1
             closed_form = closed_form_B if family == "B" else closed_form_D
             for lam in iter_dominant_weights(family, g_rank(family, n), 2):
+                table = branch_oracle(family, n, lam) if n <= 6 else None
                 for mu in iter_dominant_weights(k_family(family), n, 2):
                     if not interlace("simple", family, lam, mu):
                         continue
@@ -329,8 +330,8 @@ def test_criterion_12_tensor_product_theorem_at_n5_to_n8():
                     for k in range(max(row) + 2):
                         q = BranchingQuery(family, n, lam, mu, k)
                         values = {form.mult(k), row.get(k, 0), multiplicity_kostant_reduced(q)}
-                        if n <= 6:
-                            values.add(multiplicity_kostant_full(q))
+                        if table is not None:
+                            values |= {multiplicity_kostant_full(q), table.get(mu, k)}
                         assert len(values) == 1, (q, values)
     assert pairs == 1224
     assert time.monotonic() - start < 60.0

@@ -1,6 +1,7 @@
 """The routes stay independent: each module imports only the shared base
 (weights, partition, errors) it is allowed, never another route.  Every
-memo in the package is bounded."""
+memo in the package is bounded, and every value type is a validated named
+tuple: no module imports dataclasses."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,30 @@ def test_every_cache_is_bounded(path):
 ])
 def test_cache_scan_flags_every_unbounded_form(source, flagged):
     assert bool(unbounded_caches(source)) == flagged
+
+
+def dataclass_imports(source: str) -> list[int]:
+    """Line numbers of every import of the dataclasses module or of a name
+    from it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_dataclasses(path):
+    assert dataclass_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from dataclasses import dataclass\n", True),
+    ("import dataclasses\n", True),
+    ("import itertools, dataclasses as dc\n", True),
+    ("def f():\n    from dataclasses import field\n", True),
+    ("from collections import namedtuple\n", False),
+])
+def test_dataclass_scan_flags_every_import_form(source, flagged):
+    assert bool(dataclass_imports(source)) == flagged

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sobranch.errors import DomainError
+from sobranch.u3_so3 import U3Weight
 from sobranch.weights import (
     BranchingQuery,
     SignedPermutation,
@@ -265,17 +266,37 @@ BAD_QUERIES = [
     ("D", 1, w([2, 1, -1]), w([1, 0]), 1),  # mu of the wrong rank
     ("D", 1, w([2, 1, -1]), w([1]), -1),  # k < 0
 ]
+#: every validated named tuple: valid fields, a valid change of one, the repr
+VALUES = [
+    (BranchingQuery, VALID_QUERY, {"k": 2},
+     "BranchingQuery(family='D', n=1, lam=(2, 1, -1), mu=(1), k=1)"),
+    (Weight, ((2, 0, -1),), {"coords2": (2, 0, 1)}, "(1, 0, -1/2)"),
+    (SignedPermutation, ((1, 0, 2), frozenset({2})), {"flips": frozenset()},
+     "SignedPermutation(perm=(1, 0, 2), flips=frozenset({2}))"),
+    (U3Weight, (2, 1, 0), {"a3": -1}, "U3Weight(a1=2, a2=1, a3=0)"),
+]
+VALID_FIELDS = {cls: fields for cls, fields, _, _ in VALUES}
+BAD_VALUES = [pytest.param(BranchingQuery, f, id=f"fields{i}") for i, f in enumerate(BAD_QUERIES)] + [
+    pytest.param(Weight, ((2, 1.0),), id="Weight-float"),
+    pytest.param(Weight, ((2, "1"),), id="Weight-str"),
+    pytest.param(SignedPermutation, ((0, 0, 1), frozenset()), id="SignedPermutation-repeat"),
+    pytest.param(SignedPermutation, ((1, 0), frozenset({2})), id="SignedPermutation-flip"),
+    pytest.param(U3Weight, (1, 2, 0), id="U3Weight-increasing"),
+    pytest.param(U3Weight, (2, 1.0, 0), id="U3Weight-float"),
+]
 
 
-@pytest.mark.parametrize("fields", BAD_QUERIES)
-def test_every_way_to_make_a_query_validates_it(fields):
-    q = BranchingQuery(*VALID_QUERY)
-    # pickle and copy rebuild a query from __reduce_ex__ through __new__
-    rebuild, (cls, *_) = q.__reduce_ex__(2)[:2]
+@pytest.mark.parametrize("cls, fields", BAD_VALUES)
+def test_every_way_to_make_a_query_validates_it(cls, fields):
+    """The query and every value type: no way to make one skips its checks."""
+    value = cls(*VALID_FIELDS[cls])
+    # pickle and copy rebuild a value from __reduce_ex__ through __new__
+    rebuild, (rebuilt_cls, *_) = value.__reduce_ex__(2)[:2]
+    assert rebuilt_cls is cls
     for make in (
-        lambda: BranchingQuery(*fields),
-        lambda: BranchingQuery._make(fields),
-        lambda: q._replace(**dict(zip(BranchingQuery._fields, fields))),
+        lambda: cls(*fields),
+        lambda: cls._make(fields),
+        lambda: value._replace(**dict(zip(cls._fields, fields))),
         lambda: rebuild(cls, *fields),
     ):
         with pytest.raises(DomainError):
@@ -283,17 +304,20 @@ def test_every_way_to_make_a_query_validates_it(fields):
 
 
 def test_query_is_an_immutable_value():
-    q = BranchingQuery(*VALID_QUERY)
-    with pytest.raises(AttributeError):
-        q.k = 2
-    with pytest.raises(AttributeError):
-        q.extra = 0
-    twin = BranchingQuery("D", 1, w([2, 1, -1]), w([1]), 1)
-    assert twin == q and hash(twin) == hash(q) and twin is not q
-    assert q != q._replace(k=2)
-    for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
-        assert type(other) is BranchingQuery and other == q and hash(other) == hash(q)
-    assert repr(q) == "BranchingQuery(family='D', n=1, lam=(2, 1, -1), mu=(1), k=1)"
+    """The query and every value type, in one loop over VALUES."""
+    for cls, fields, change, text in VALUES:
+        value = cls(*fields)
+        with pytest.raises(AttributeError):
+            setattr(value, cls._fields[-1], fields[-1])
+        with pytest.raises(AttributeError):
+            value.extra = 0
+        twin = cls(*copy.deepcopy(fields))
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        assert value != value._replace(**change)
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                      value._replace(), cls._make(fields)):
+            assert type(other) is cls and other == value and hash(other) == hash(value)
+        assert repr(value) == text
 
 
 def test_normalized_returns_a_query():
