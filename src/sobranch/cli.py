@@ -6,10 +6,9 @@ Subcommands: ``mult`` (per-method multiplicities for one query),
 (U(3) to SO(3) branching, closed formula vs oracle).
 
 ``sweep`` is the one walk over a verify grid: ``verify`` reports on it and
-the cross-route test sweeps check it.  The oracle's table and the
-closed-form and ending multisets, whole answers a route reads k off, are
-kept per lam and dropped when the walk moves to the next lam; the Kostant
-routes keep their per-pair bindings in ``kostant``.
+the cross-route test sweeps check it.  Each method is resolved once per
+(lam, mu) pair to a reader of k, kept for the current lam only; a grid
+point then costs one lookup and one read per method.
 
 Exit codes: 0 success/agreement, 1 divergence between methods, 2 usage
 error.  Reports go to stdout, diagnostics to stderr.  The environment
@@ -28,7 +27,8 @@ import sys
 from . import partition
 from .clebsch_gordan import closed_form_B, closed_form_D
 from .errors import DomainError, PreconditionError, SobranchError
-from .kostant import multiplicity_kostant_full, multiplicity_kostant_reduced
+# Not called here: multiplicity_kostant_reduced, which perfbench's tracer rebinds
+from .kostant import multiplicity_kostant_full, multiplicity_kostant_reduced, reduced_pair  # noqa: F401
 from .oracle import branch_oracle
 from .tsukamoto import multiplicity_tsukamoto
 from .u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle
@@ -45,51 +45,35 @@ from .weights import (
 )
 
 USAGE_ERROR = 2
+_MISSING = object()
 
 
-def _memo(tables: dict, key: tuple, build):
-    """``build()`` once per key, kept in the per-lam tables; a route that
-    does not apply (PreconditionError) is kept as None."""
-    if key not in tables:
-        try:
-            tables[key] = build()
-        except PreconditionError:
-            tables[key] = None
-    return tables[key]
+def _oracle(family: str, n: int, lam: Weight, mu: Weight, tables: dict):
+    """Reader of the oracle's table of lam, built once per lam."""
+    table = tables.get("oracle")
+    if table is None:
+        table = tables["oracle"] = branch_oracle(family, n, lam)
+    return lambda k: table.get(mu, k)
 
 
-def _oracle(q: BranchingQuery, tables: dict) -> int:
-    """The oracle's answer from its full table of q.lam, built once per lam."""
-    table = _memo(tables, ("oracle", q.family, q.n, q.lam),
-                  lambda: branch_oracle(q.family, q.n, q.lam))
-    return table.get(q.mu, q.k)
-
-
-def _from_pair(method: str, q: BranchingQuery, tables: dict, build) -> int | None:
-    """Multiplicity of q.k in the whole answer of (q.lam, q.mu) that
-    ``build()`` returns (an object with ``mult(k)``), built once per pair;
-    None where it does not apply."""
-    answer = _memo(tables, (method, q.family, q.n, q.lam, q.mu), build)
-    return None if answer is None else answer.mult(q.k)
-
-
-# Method name -> route(query, per-lam tables), in alphabetical order.  A route
-# returns the multiplicity, or None or a PreconditionError where the method
-# does not apply.  The per-lam tables hold each whole answer a route reads k
-# off: the oracle's table of lam, and per (lam, mu) the closed-form and ending
-# multisets; both Kostant sums bind their pairs in ``kostant``'s own LRUs.
-# The entries look the library functions up in this module's globals at call
-# time rather than capturing them here, so code that rebinds one of them on
-# this module (a tracer, a test injecting a fault) sees every call.
+# Method name -> pair entry (family, n, lam, mu, per-lam tables) -> read, in
+# alphabetical order: read(k) is the multiplicity, and a PreconditionError
+# from either step means n/a.  Closed-form and ending read the pair's SO(3)
+# multiset, the oracle its table of lam, kostant-reduced the pair's binding;
+# tsukamoto and kostant-full make one query per k.  The entries look the
+# library functions up in this module's globals at call time, so code that
+# rebinds one of them here (a tracer, a fault injection) sees every call.
 METHODS = {
-    "closed-form": lambda q, tables: _from_pair("closed-form", q, tables, lambda: (
-        closed_form_B(q.lam, q.mu) if q.family == FAMILY_B else closed_form_D(q.lam, q.mu))),
-    "ending": lambda q, tables: _from_pair("ending", q, tables, lambda: (
-        ending_B(q.lam, q.mu) if q.family == FAMILY_B else ending_D(q.lam, q.mu))),
-    "kostant-full": lambda q, tables: multiplicity_kostant_full(q),
-    "kostant-reduced": lambda q, tables: multiplicity_kostant_reduced(q),
+    "closed-form": lambda family, n, lam, mu, tables: (
+        closed_form_B(lam, mu) if family == FAMILY_B else closed_form_D(lam, mu)).mult,
+    "ending": lambda family, n, lam, mu, tables: (
+        ending_B(lam, mu) if family == FAMILY_B else ending_D(lam, mu)).mult,
+    "kostant-full": lambda family, n, lam, mu, tables: lambda k: multiplicity_kostant_full(
+        BranchingQuery(family, n, lam, mu, k)),
+    "kostant-reduced": lambda family, n, lam, mu, tables: reduced_pair(family, n, lam, mu),
     "oracle": _oracle,
-    "tsukamoto": lambda q, tables: multiplicity_tsukamoto(q),
+    "tsukamoto": lambda family, n, lam, mu, tables: lambda k: multiplicity_tsukamoto(
+        BranchingQuery(family, n, lam, mu, k)),
 }
 
 
@@ -117,10 +101,18 @@ def _methods(text: str) -> tuple[str, ...]:
 def _method_value(
     method: str, family: str, n: int, lam: Weight, mu: Weight, k: int, tables: dict
 ) -> int | None:
-    """One method's answer, or None where the method does not apply."""
-    q = BranchingQuery(family, n, lam, mu, k)
+    """One method's answer, or None where it does not apply.  Its reader of (lam, mu),
+    or None, is kept in the per-lam tables from the pair's first point, which validates."""
+    read = tables.get((method, mu), _MISSING)
+    if read is _MISSING:
+        BranchingQuery(family, n, lam, mu, k)
+        try:
+            read = METHODS[method](family, n, lam, mu, tables)
+        except PreconditionError:
+            read = None
+        tables[method, mu] = read
     try:
-        return METHODS[method](q, tables)
+        return None if read is None else read(k)
     except PreconditionError:
         return None
 

@@ -38,9 +38,9 @@ repeated work:
 
 The reduced sum is bound the same way, per pair in an LRU of the same size
 (``_reduced_terms``): all its terms share one head target, so it holds one
-row and reads each term at k off it.  A pair that does not simply
-interlace is bound too, to its error message, so an n/a point costs one
-lookup.  Both paths count partitions only through rows.
+row, and ``reduced_pair`` reads each term at k off it.  A pair that does
+not simply interlace is bound too, to its error message, so an n/a pair
+costs one lookup.  Both paths count partitions only through rows.
 """
 
 from __future__ import annotations
@@ -223,16 +223,24 @@ def _reduced_terms(
     return _sigma(q.family, q.n).row(tuple(head)), terms
 
 
-def multiplicity_kostant_reduced(q: BranchingQuery) -> int:
-    """The reduced sum of q's pair at q.k, read off the pair's binding.
-    Raises InterlacingError where mu does not simply interlace lam (after
-    tilde-normalization)."""
-    bound = _reduced_terms(q.family, q.n, q.lam, q.mu)
+def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
+    """k -> the reduced sum of (lam, mu), read off the pair's binding.  Raises
+    InterlacingError where mu does not simply interlace lam (after tilde-normalization)."""
+    bound = _reduced_terms(family, n, lam, mu)
     if isinstance(bound, str):
         raise InterlacingError(bound)
     row, terms = bound
-    k = q.k
-    total = sum(sign * row[last + step * k] for sign, last, step in terms)
-    if total < 0:
-        raise InternalInconsistencyError(f"negative reduced sum {total} for {q}")
-    return total
+
+    def read(k: int) -> int:
+        total = sum(sign * row[last + step * k] for sign, last, step in terms)
+        if total < 0:
+            q = BranchingQuery(family, n, lam, mu, k)
+            raise InternalInconsistencyError(f"negative reduced sum {total} for {q}")
+        return total
+
+    return read
+
+
+def multiplicity_kostant_reduced(q: BranchingQuery) -> int:
+    """The reduced sum of q's pair at q.k (``reduced_pair``)."""
+    return reduced_pair(q.family, q.n, q.lam, q.mu)(q.k)

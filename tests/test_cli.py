@@ -198,6 +198,43 @@ def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
     assert kostant._reduced_terms.cache_info().misses == pairs
 
 
+def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
+    # a grid point of a pair-read method costs a lookup: cli validates one
+    # query per (pair, method), where it once built one per (point, method)
+    built = []
+    query = cli.BranchingQuery
+
+    def counting(*fields):
+        built.append(fields)
+        return query(*fields)
+
+    monkeypatch.setattr(cli, "BranchingQuery", counting)
+    kostant._reduced_terms.cache_clear()
+    code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
+                       "--methods", "closed-form,ending,kostant-reduced")
+    assert code == 0
+    assert out == ("OK family=B n=2 max=2: 360 grid points agree across "
+                   "closed-form, ending, kostant-reduced\n")
+    pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
+    assert pairs == 90 and 0 < len(built) <= 3 * pairs
+    assert kostant._reduced_terms.cache_info().misses == pairs
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--k", "-1"), "k must be non-negative"),
+        (("--lam", "0,1,0"), "lam=(0, 1, 0) is not dominant (family B)"),
+        (("--lam", "1,0"), "lam must have rank 3, got 2"),
+        (("--mu", "0,1", "--methods", "closed-form,ending"), "mu=(0, 1) is not dominant (family B)"),
+    ],
+)
+def test_mult_usage_errors_name_the_fault(capsys, argv, message):
+    # later flags override the valid query's
+    valid = ("mult", "--family", "B", "--n", "2", "--lam", "1,0,0", "--mu", "0,0", "--k", "1")
+    assert run(capsys, *valid, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_verify_builds_each_full_sum_once_per_pair(capsys, monkeypatch):
     calls = count_calls(monkeypatch, (cli, "multiplicity_kostant_full"))
     kostant._pair_terms.cache_clear()
@@ -255,19 +292,25 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points)
 
 
 def test_verify_tables_hold_one_lam(capsys, monkeypatch):
-    # every table key is (method, family, n, lam, ...): a whole answer of lam
+    # a lam's tables are empty at its first point and serve every point of
+    # it, and no two lams share tables: no entry outlives its lam
     method_value = cli._method_value
     held = []
 
     def inspecting(method, family, n, lam, mu, k, tables):
-        held.append({key[3] for key in tables} - {lam})
+        held.append((lam, tables, len(tables)))
         return method_value(method, family, n, lam, mu, k, tables)
 
     monkeypatch.setattr(cli, "_method_value", inspecting)
     code, out, _ = run(capsys, "verify", "--family", "D", "--n", "1", "--max", "2",
                        "--methods", "all")
     assert code == 0 and out.startswith("OK family=D n=1 max=2: ")
-    assert len(held) > 0 and not any(held)
+    tables_of: dict = {}
+    for lam, tables, size in held:
+        first_point = lam not in tables_of
+        assert tables is tables_of.setdefault(lam, tables)
+        assert (size == 0) == first_point
+    assert len({id(tables) for tables in tables_of.values()}) == len(tables_of) > 1
 
 
 def test_sweep_walks_the_verify_grid_in_order():
@@ -295,9 +338,14 @@ def test_verify_usage_errors_name_the_fault(capsys, argv, message):
 
 
 def inject_off_by_one(monkeypatch, method):
-    """Make one registry method answer one more than it should."""
-    route = cli.METHODS[method]
-    monkeypatch.setitem(cli.METHODS, method, lambda q, tables: route(q, tables) + 1)
+    """Make one registry method's reader answer one more than it should."""
+    entry = cli.METHODS[method]
+
+    def corrupted(*pair):
+        read = entry(*pair)
+        return lambda k: read(k) + 1
+
+    monkeypatch.setitem(cli.METHODS, method, corrupted)
 
 
 def test_verify_corrupted_method_diverges(capsys, monkeypatch):
