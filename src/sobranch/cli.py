@@ -53,7 +53,7 @@ def _oracle(family: str, n: int, lam: Weight, mu: Weight, tables: dict):
     table = tables.get("oracle")
     if table is None:
         table = tables["oracle"] = branch_oracle(family, n, lam)
-    return lambda k: table.get(mu, k)
+    return table.reader(mu)
 
 
 # Method name -> pair entry (family, n, lam, mu, per-lam tables) -> read, in
@@ -213,8 +213,9 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     unchecked = 0
     for lam, mu, k, values in sweep(args.family, args.n, args.max, args.methods):
         report["points"] += 1
-        unchecked += sum(v is not None for v in values.values()) < 2
-        if len(set(values.values()) - {None}) > 1:
+        found = [*values.values()]
+        unchecked += len(found) - found.count(None) < 2
+        if len(set(found) - {None}) > 1:
             report["divergence"] = {"lambda": list(lam.to_ints()), "mu": list(mu.to_ints()),
                                     "k": k, "values": values}
             break

@@ -19,12 +19,23 @@ class PreconditionError(SobranchError):
 
 
 class InterlacingError(PreconditionError):
-    """A required interlacing pattern between highest weights does not hold."""
+    """mu does not simply interlace lam.  Raised as InterlacingError(lam, mu,
+    family); the message is formatted only when read, since the routes that
+    fall back on it never read it."""
+
+    def __str__(self) -> str:
+        lam, mu, family = self.args
+        return f"mu={mu} does not simply interlace lam={lam} (family {family})"
 
 
 class CoincidencePatternError(PreconditionError):
     """The highest-weight coincidence pattern required by the partial
-    (prescribed-end) decompositions does not hold."""
+    (prescribed-end) decompositions does not hold.  Raised as
+    CoincidencePatternError(lam, mu, family), formatted when read."""
+
+    def __str__(self) -> str:
+        lam, mu, family = self.args
+        return f"lam={lam}, mu={mu} do not match the family {family} ending pattern"
 
 
 class MalformedSeriesError(SobranchError):

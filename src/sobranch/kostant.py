@@ -39,8 +39,9 @@ repeated work:
 The reduced sum is bound the same way, per pair in an LRU of the same size
 (``_reduced_terms``): all its terms share one head target, so it holds one
 row, and ``reduced_pair`` reads each term at k off it.  A pair that does
-not simply interlace is bound too, to its error message, so an n/a pair
-costs one lookup.  Both paths count partitions only through rows.
+not simply interlace is bound too, to its error's arguments, so an n/a
+pair costs one lookup and formats no message.  Both paths count
+partitions only through rows.
 """
 
 from __future__ import annotations
@@ -197,17 +198,17 @@ def multiplicity_kostant_full(q: BranchingQuery) -> int:
 @lru_cache(maxsize=_PAIRS)
 def _reduced_terms(
     family: str, n: int, lam: Weight, mu: Weight
-) -> tuple[Row, tuple[tuple[int, int, int], ...]] | str:
+) -> tuple[Row | None, tuple]:
     """The reduced sum of one (lam, mu) pair for every k, after
     tilde-normalization: a two-term difference for family B, a four-term
     signed sum for family D.  Every term has the same head target, so the
     binding is sigma's ``PartitionFunction.row`` of that head and per term
     (sign, last coordinate at k = 0, step per unit of k), the term at k
     being row[last + step * k].  Where mu does not simply interlace lam it
-    is the InterlacingError message instead, formatted once."""
+    is (None, the InterlacingError's arguments) instead."""
     q = BranchingQuery(family, n, lam, mu, 0).normalized()
     if not interlace("simple", q.family, q.lam, q.mu):
-        return f"mu={q.mu} does not simply interlace lam={q.lam} (family {q.family})"
+        return None, (q.lam, q.mu, q.family)
     *head, last = (restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))).coords2
     if q.family == FAMILY_B:
         terms = ((1, last, -2), (-1, last + 2, 2))
@@ -226,10 +227,9 @@ def _reduced_terms(
 def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
     """k -> the reduced sum of (lam, mu), read off the pair's binding.  Raises
     InterlacingError where mu does not simply interlace lam (after tilde-normalization)."""
-    bound = _reduced_terms(family, n, lam, mu)
-    if isinstance(bound, str):
-        raise InterlacingError(bound)
-    row, terms = bound
+    row, terms = _reduced_terms(family, n, lam, mu)
+    if row is None:
+        raise InterlacingError(*terms)
 
     def read(k: int) -> int:
         total = sum(sign * row[last + step * k] for sign, last, step in terms)

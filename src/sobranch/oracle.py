@@ -119,8 +119,13 @@ class MultiplicityTable:
         self._entries = dict(entries)
 
     def get(self, mu, k: int) -> int:
-        mu_key = tuple(mu.to_ints()) if isinstance(mu, Weight) else tuple(mu)
-        return self._entries.get((mu_key, k), 0)
+        return self.reader(mu)(k)
+
+    def reader(self, mu):
+        """k -> the multiplicity of (mu, k), with mu's key made once."""
+        mu_key = mu.to_ints() if isinstance(mu, Weight) else tuple(mu)
+        entries = self._entries
+        return lambda k: entries.get((mu_key, k), 0)
 
     def items(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
         return sorted(self._entries.items())

@@ -7,8 +7,10 @@ x^{-(l-1)} times one antisymmetric two-term factor with half-integral
 exponent; the branching multiplicity of the SO(3) label k is the
 coefficient of x^{k+1/2} of the total.  A product of brackets is kept as a
 dense coefficient list, and multiplying it by [l] replaces each coefficient
-by the sum of a window of l of them, read off prefix sums; every tuple's
-terms go into one dict, made a ``LaurentPoly`` once per series.
+by the sum of a window of l of them, read off prefix sums.  The product
+commutes, so it is memoised by the sorted (doubled) bracket arguments: a
+sweep meets few distinct ones.  Every tuple's terms go into one dict, made a
+``LaurentPoly`` once per series.
 
 The series of a pair (lam, mu) carries every label k at once, so
 ``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that
@@ -177,16 +179,24 @@ def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...
     return tuple(_atuples_D(lam.to_ints(), mu.to_ints()))
 
 
-def _bracket_product(ls) -> list[int]:
-    """prod_i [l_i] as its coefficient list c, c[j] the coefficient of
-    x^(d - 2j) with d = sum_i (l_i - 1).  Multiplying by [l] makes each new
-    coefficient the sum of a window of l old ones, taken off prefix sums."""
+#: bracket products kept, one per sorted tuple of doubled bracket
+#: arguments; the verify sweeps of B and D up to n = 4, max = 3 meet at most
+#: 7, and B n = 3, max = 5 meets 16
+_BRACKET_PRODUCTS = 32
+
+
+@lru_cache(maxsize=_BRACKET_PRODUCTS)
+def _bracket_product(l2s: tuple[int, ...]) -> tuple[int, ...]:
+    """prod_i [l_i] for the doubled arguments l2s = (2 l_1, 2 l_2, ...), as its
+    coefficient tuple c, c[j] the coefficient of x^(d - 2j) with d = sum_i
+    (l_i - 1).  Multiplying by [l] makes each new coefficient the sum of a
+    window of l old ones, taken off prefix sums."""
     c = [1]
-    for l in ls:
+    for l in (l2 // 2 for l2 in l2s):
         prefix = list(itertools.accumulate(c, initial=0))
         width = len(c)
         c = [prefix[min(j + 1, width)] - prefix[max(j + 1 - l, 0)] for j in range(width + l - 1)]
-    return c
+    return tuple(c)
 
 
 def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> LaurentPoly:
@@ -198,7 +208,7 @@ def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> Laure
         return LaurentPoly.zero()
     total: dict[int, int] = {}
     for at in enumerate_atuples(family, lam, mu):
-        c = _bracket_product([l2 // 2 for l2 in at.l2[:-1]])
+        c = _bracket_product(tuple(sorted(at.l2[:-1])))
         top, last = 2 * (len(c) - 1), at.l2[-1]
         for j, cj in enumerate(c):
             e2 = top - 4 * j  # doubled exponent of c[j]

@@ -161,9 +161,7 @@ def ending_B(lam: Weight, mu: Weight) -> So3MultiSet:
     m = mu.to_ints()
     coincide = all(l[i + 2] == m[i - 1] for i in range(1, n - 1))
     if not coincide or m[n - 2] > l[n]:
-        raise CoincidencePatternError(
-            f"lam={lam}, mu={mu} do not match the family B ending pattern"
-        )
+        raise CoincidencePatternError(lam, mu, FAMILY_B)
     block = So3MultiSet({j: 1 for j in range(abs(m[n - 1]), m[n - 2] + 1)})
     return so3_tensor_decompose([u3_restriction(U3Weight(l[0], l[1], l[2])), block])
 
@@ -178,8 +176,6 @@ def ending_D(lam: Weight, mu: Weight) -> So3MultiSet:
     m = mu.to_ints()
     coincide = all(abs(l[i + 2]) == m[i - 1] for i in range(1, n))
     if not coincide or m[n - 1] > abs(l[n + 1]):
-        raise CoincidencePatternError(
-            f"lam={lam}, mu={mu} do not match the family D ending pattern"
-        )
+        raise CoincidencePatternError(lam, mu, FAMILY_D)
     factors = [u3_restriction(U3Weight(l[0], l[1], abs(l[2]))), So3MultiSet.irreducible(m[n - 1])]
     return so3_tensor_decompose(factors)

@@ -37,6 +37,8 @@ from .errors import DomainError
 FAMILY_B = "B"
 FAMILY_D = "D"
 _FAMILIES = (FAMILY_B, FAMILY_D)
+#: the one type a doubled coordinate may have: not float, not bool
+_PLAIN_INT = frozenset({int})
 
 #: smallest parameter n admitted by each family
 FAMILY_MIN_N = {FAMILY_B: 2, FAMILY_D: 1}
@@ -68,9 +70,8 @@ class Weight(namedtuple("Weight", "coords2")):
 
     def __new__(cls, coords2: Iterable[int]) -> "Weight":
         coords2 = tuple(coords2)
-        for c in coords2:
-            if not isinstance(c, int):
-                raise DomainError("doubled coordinates must be plain integers")
+        if not _PLAIN_INT.issuperset(map(type, coords2)):
+            raise DomainError("doubled coordinates must be plain integers")
         return tuple.__new__(cls, (coords2,))
 
     @classmethod
@@ -97,12 +98,12 @@ class Weight(namedtuple("Weight", "coords2")):
 
     @property
     def is_integral(self) -> bool:
-        return all(c % 2 == 0 for c in self.coords2)
+        return not [c for c in self.coords2 if c % 2]
 
     def to_ints(self) -> tuple[int, ...]:
         if not self.is_integral:
             raise DomainError(f"{self} has non-integral coordinates")
-        return tuple(c // 2 for c in self.coords2)
+        return tuple([c // 2 for c in self.coords2])
 
     def _require_same_rank(self, other: "Weight") -> None:
         if self.rank != other.rank:
@@ -365,16 +366,20 @@ def interlace(kind: str, family: str, lam: Weight, mu: Weight) -> bool:
     l2 = lam.coords2
     m2 = mu.coords2
     if kind == "simple":
-        if family == FAMILY_B:
-            return all(l2[i] >= abs(m2[i]) >= l2[i + 1] for i in range(n))
-        return all(l2[i] >= m2[i] >= l2[i + 1] for i in range(n))
+        for a, m, b in zip(l2, map(abs, m2) if family == FAMILY_B else m2, l2[1:]):
+            if not a >= m >= b:
+                return False
+        return True
     if family == FAMILY_B:
-        ext = l2 + (0, 0)
-        head = all(l2[i] >= m2[i] >= ext[i + 3] for i in range(n - 1))
-        return head and l2[n - 1] >= abs(m2[n - 1])
-    head = all(l2[i] >= m2[i] >= l2[i + 3] for i in range(n - 2))
+        for a, m, b in zip(l2, m2[:-1], l2[3:] + (0, 0)):
+            if not a >= m >= b:
+                return False
+        return l2[n - 1] >= abs(m2[n - 1])
+    for a, m, b in zip(l2, m2[:-2], l2[3:]):
+        if not a >= m >= b:
+            return False
     middle = n < 2 or l2[n - 2] >= m2[n - 2] >= abs(l2[n + 1])
-    return head and middle and l2[n - 1] >= m2[n - 1]
+    return middle and l2[n - 1] >= m2[n - 1]
 
 
 def tilde(family: str, w: Weight) -> Weight:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -311,6 +312,21 @@ def test_verify_tables_hold_one_lam(capsys, monkeypatch):
         assert tables is tables_of.setdefault(lam, tables)
         assert (size == 0) == first_point
     assert len({id(tables) for tables in tables_of.values()}) == len(tables_of) > 1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("verify --family B --n 3 --max 1 --methods all", "02f803095f11fa65341d2689e6ec32c9"),
+    ("verify --family B --n 3 --max 3 --methods kostant-reduced,tsukamoto,closed-form,ending",
+     "d21db08a06e1199bc6a47a97cd05b97e"),
+    ("verify --family D --n 3 --max 2 --methods kostant-reduced,tsukamoto,closed-form,ending",
+     "fad3fb28425faf01cfa4c25e5b8bdd4a"),
+], ids=["B-n3-max1-all", "B-n3-max3-fast", "D-n3-max2-fast"])
+def test_verify_output_is_byte_identical(capsys, argv, digest):
+    # md5 of stdout, stderr and the exit code, recorded before the routes'
+    # per-pair costs were cut (it equals that of `{ python -m sobranch.cli
+    # ARGV --format json 2>&1; echo rc=$?; }`): a speed-up may not change a byte
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert hashlib.md5(f"{out}{err}rc={code}\n".encode()).hexdigest() == digest
 
 
 def test_sweep_walks_the_verify_grid_in_order():

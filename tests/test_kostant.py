@@ -72,6 +72,9 @@ def test_reduced_examples():
 def test_reduced_requires_simple_interlacing():
     with pytest.raises(InterlacingError):
         multiplicity_kostant_reduced(q_B([2, 2, 0], [1, 0], 0))
+    # an n/a pair is bound to its error's arguments, not to a formatted message
+    bound = kostant._reduced_terms("D", 1, w([2, 2, -1]), w([0]))
+    assert bound == (None, (w([2, 2, 1]), w([0]), "D"))
 
 
 def test_reduced_equals_full_on_interlacing_grid():
@@ -256,6 +259,7 @@ def test_orbit_and_binding_caches_are_bounded():
     assert kostant._sigma.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
     assert tsukamoto._pair_row.cache_info().maxsize == tsukamoto._PAIR_ROWS == 128
+    assert tsukamoto._bracket_product.cache_info().maxsize == tsukamoto._BRACKET_PRODUCTS == 32
     assert weights.check_pair.cache_info().maxsize is not None
     assert weights.weyl_elements.cache_info().maxsize is not None
     assert weights.sign_patterns.cache_info().maxsize is not None

@@ -150,6 +150,10 @@ def test_branch_oracle_adjoint_B():
     assert table.get((1, 0), 1) == 1
     assert table.get((0, 0), 1) == 1
     assert len(table) == 4
+    # a reader resolves mu once and answers like get, for a Weight or a tuple
+    for mu in ((1, 1), w([1, -1]), w([0, 0]), (2, 0)):
+        read = table.reader(mu)
+        assert [read(k) for k in range(3)] == [table.get(mu, k) for k in range(3)]
 
 
 def test_branch_oracle_conservation():

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sobranch import cli
+from sobranch import cli, tsukamoto
 from sobranch.errors import DomainError, MalformedSeriesError
 from sobranch.kostant import BranchingQuery, multiplicity_kostant_full
 from sobranch.tsukamoto import (
@@ -140,6 +142,18 @@ def test_window_sum_series_matches_bracket_products(family, n, bound):
     for lam, mu in pairs:
         assert tsukamoto_generating_function(family, lam, mu) == reference_series(
             family, lam, mu), (lam, mu)
+
+
+def test_bracket_products_do_not_depend_on_argument_order():
+    # so the memo may key them by the sorted arguments
+    for ls in ((1, 2, 3), (2, 2, 4, 1), (3, 1, 3, 2, 5)):
+        want = LaurentPoly.one()
+        for l in ls:
+            want = want * quantum_bracket(l)
+        for order in set(itertools.permutations(ls)):
+            c = tsukamoto._bracket_product(tuple(2 * l for l in order))
+            top = 2 * (len(c) - 1)
+            assert LaurentPoly({top - 4 * j: cj for j, cj in enumerate(c)}) == want, order
 
 
 def test_extract_multiplicities():

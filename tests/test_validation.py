@@ -4,8 +4,8 @@ rejects an invalid one with DomainError, through ``weights.check_pair``."""
 import pytest
 
 from sobranch.clebsch_gordan import closed_form_B, closed_form_D
-from sobranch.errors import DomainError
-from sobranch.kostant import BranchingQuery
+from sobranch.errors import DomainError, PreconditionError
+from sobranch.kostant import BranchingQuery, multiplicity_kostant_reduced
 from sobranch.oracle import branch_oracle
 from sobranch.tsukamoto import enumerate_atuples, tsukamoto_generating_function
 from sobranch.u3_so3 import ending_B, ending_D
@@ -69,3 +69,26 @@ def test_an_invalid_pair_raises_on_every_call():
             check_pair(*valid)
             with pytest.raises(DomainError):
                 check_pair(family, n, lam, mu)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (closed_form_B, (w([3, 2, 1, 0]), w([1, 1, 0])),
+     "mu=(1, 1, 0) does not simply interlace lam=(3, 2, 1, 0) (family B)"),
+    (closed_form_D, (w([3, 2, 1, 0]), w([1, 1])),
+     "mu=(1, 1) does not simply interlace lam=(3, 2, 1, 0) (family D)"),
+    (ending_B, (w([3, 2, 1, 0]), w([1, 1, 0])),
+     "lam=(3, 2, 1, 0), mu=(1, 1, 0) do not match the family B ending pattern"),
+    (ending_D, (w([3, 2, 1, 0]), w([1, 1])),
+     "lam=(3, 2, 1, 0), mu=(1, 1) do not match the family D ending pattern"),
+    (multiplicity_kostant_reduced, (BranchingQuery("B", 3, w([3, 2, 1, 0]), w([1, 1, 0]), 0),),
+     "mu=(1, 1, 0) does not simply interlace lam=(3, 2, 1, 0) (family B)"),
+    # the reduced sum names the tilde-normalized pair
+    (multiplicity_kostant_reduced, (BranchingQuery("D", 2, w([3, 2, 1, -1]), w([1, 1]), 0),),
+     "mu=(1, 1) does not simply interlace lam=(3, 2, 1, 1) (family D)"),
+], ids=["closed-form-B", "closed-form-D", "ending-B", "ending-D", "reduced-B", "reduced-D"])
+def test_an_inapplicable_route_names_the_pair(call, args, message):
+    # the n/a errors format their message only when it is read
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as raised:
+            call(*args)
+        assert str(raised.value) == message

@@ -279,6 +279,7 @@ VALID_FIELDS = {cls: fields for cls, fields, _, _ in VALUES}
 BAD_VALUES = [pytest.param(BranchingQuery, f, id=f"fields{i}") for i, f in enumerate(BAD_QUERIES)] + [
     pytest.param(Weight, ((2, 1.0),), id="Weight-float"),
     pytest.param(Weight, ((2, "1"),), id="Weight-str"),
+    pytest.param(Weight, ((True, 2),), id="Weight-bool"),
     pytest.param(SignedPermutation, ((0, 0, 1), frozenset()), id="SignedPermutation-repeat"),
     pytest.param(SignedPermutation, ((1, 0), frozenset({2})), id="SignedPermutation-flip"),
     pytest.param(U3Weight, (1, 2, 0), id="U3Weight-increasing"),
