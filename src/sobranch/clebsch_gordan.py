@@ -28,9 +28,9 @@ class So3MultiSet:
         data: dict[int, int] = {}
         items = mult.items() if isinstance(mult, dict) else (mult or ())
         for k, m in items:
-            if not isinstance(k, int) or k < 0:
+            if type(k) is not int or k < 0:
                 raise DomainError(f"label {k!r} must be a non-negative integer")
-            if not isinstance(m, int) or m < 0:
+            if type(m) is not int or m < 0:
                 raise DomainError(f"multiplicity {m!r} must be a non-negative integer")
             if m:
                 data[k] = data.get(k, 0) + m

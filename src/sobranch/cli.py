@@ -5,10 +5,11 @@ Subcommands: ``mult`` (per-method multiplicities for one query),
 ``verify`` (method-agreement sweep over a bounded grid), and ``u3so3``
 (U(3) to SO(3) branching, closed formula vs oracle).
 
-``sweep`` is the one walk over a verify grid: ``verify`` reports on it and
-the cross-route test sweeps check it.  Each method is resolved once per
-(lam, mu) pair to a reader of k, kept for the current lam only; a grid
-point then costs one lookup and one read per method.
+``_walk`` is the one walk over grid points, answering through the method
+registry ``METHODS``: ``verify`` and the cross-route test sweeps walk a
+verify grid (``sweep``), ``decompose`` one lam.  Each method is resolved
+once per (lam, mu) pair to a reader of k, kept for the current lam only; a
+grid point then costs one lookup and one read per method.
 
 Exit codes: 0 success/agreement, 1 divergence between methods, 2 usage
 error.  Reports go to stdout, diagnostics to stderr.  The environment
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
+from typing import Iterable
 
 from . import partition
 from .clebsch_gordan import closed_form_B, closed_form_D
@@ -39,7 +40,6 @@ from .weights import (
     check_family_n,
     check_pair,
     g_rank,
-    interlace,
     iter_dominant_weights,
     k_family,
 )
@@ -163,43 +163,40 @@ def _cmd_decompose(args: argparse.Namespace, out) -> int:
     lam = Weight.of_ints(args.lam)
     # mu = 0 is dominant for every subgroup, so this checks family, n and lam
     check_pair(args.family, args.n, lam, Weight((0,) * args.n))
-    if args.methods == "oracle":
-        table = branch_oracle(args.family, args.n, lam)
-        rows = [_row(mu, k, "oracle", m) for (mu, k), m in table.items()]
-    else:
-        closed_form = closed_form_B if args.family == FAMILY_B else closed_form_D
-        rows = [
-            _row(mu.to_ints(), k, "closed-form", m)
-            for mu in iter_dominant_weights(k_family(args.family), args.n, max(args.lam))
-            if interlace("simple", args.family, lam, mu)
-            for k, m in closed_form(lam, mu).items()
-        ]
+    # a non-zero entry has mu_1 <= lam_1 and k at most the coordinate sum of
+    # lam, so the walk over these mu reaches every entry of the table
+    method = args.methods
+    mus = list(iter_dominant_weights(k_family(args.family), args.n, max(args.lam)))
+    rows = [
+        _row(mu.to_ints(), k, method, values[method])
+        for _, mu, k, values in _walk(args.family, args.n, [lam], mus, (method,))
+        if values[method]
+    ]
     _emit({"family": args.family, "n": args.n, "lambda": list(args.lam)}, rows, args.format, out)
     return 0
 
 
-def _grid(family: str, n: int, bound: int):
-    """Every (lam, mu, k) of a verify sweep: dominant lam and mu with first
-    coordinate at most ``bound``, and k up to the coordinate sum of lam."""
-    mus = list(iter_dominant_weights(k_family(family), n, bound))
-    for lam in iter_dominant_weights(family, g_rank(family, n), bound):
+def _walk(family: str, n: int, lams: Iterable[Weight], mus: list[Weight], methods: tuple[str, ...]):
+    """Yield (lam, mu, k, {method: value or None}) for every lam of ``lams``,
+    mu of ``mus`` and k up to the coordinate sum of lam, lam-major, with one
+    ``_method_value`` call per (point, method).  The tables are new for each
+    lam: no table key spans two lams, so this loses no reuse and holds one
+    lam's."""
+    for lam in lams:
+        tables: dict = {}
         k_top = sum(abs(c) for c in lam.to_ints())
         for mu in mus:
             for k in range(k_top + 1):
-                yield lam, mu, k
+                yield lam, mu, k, {
+                    method: _method_value(method, family, n, lam, mu, k, tables) for method in methods
+                }
 
 
 def sweep(family: str, n: int, bound: int, methods: tuple[str, ...]):
-    """Yield (lam, mu, k, {method: value or None}) for every point of
-    ``_grid``, in its order, with one ``_method_value`` call per (point,
-    method).  The tables are new for each lam: the grid is lam-major and no
-    table key spans two lams, so this loses no reuse and holds one lam's."""
-    for lam, points in itertools.groupby(_grid(family, n, bound), key=lambda point: point[0]):
-        tables: dict = {}
-        for _, mu, k in points:
-            yield lam, mu, k, {
-                method: _method_value(method, family, n, lam, mu, k, tables) for method in methods
-            }
+    """The verify grid: ``_walk`` over every dominant lam and mu with first
+    coordinate at most ``bound``."""
+    mus = list(iter_dominant_weights(k_family(family), n, bound))
+    return _walk(family, n, iter_dominant_weights(family, g_rank(family, n), bound), mus, methods)
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:

@@ -114,7 +114,7 @@ class MultiplicityTable:
 
     def __init__(self, entries: dict[tuple[tuple[int, ...], int], int]):
         for (mu, k), m in entries.items():
-            if k < 0 or m <= 0:
+            if type(k) is not int or type(m) is not int or k < 0 or m <= 0:
                 raise DomainError(f"bad table entry ({mu}, {k}) -> {m}")
         self._entries = dict(entries)
 

@@ -44,7 +44,7 @@ class LaurentPoly:
         data: dict[int, int] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else (coeffs or ())
         for e2, c in items:
-            if not isinstance(e2, int) or not isinstance(c, int):
+            if type(e2) is not int or type(c) is not int:
                 raise DomainError("exponents and coefficients must be integers")
             if c:
                 data[e2] = data.get(e2, 0) + c

@@ -28,7 +28,7 @@ class U3Weight(namedtuple("U3Weight", "a1 a2 a3")):
 
     def __new__(cls, a1: int, a2: int, a3: int) -> "U3Weight":
         for v in (a1, a2, a3):
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise DomainError("U(3) weight coordinates must be integers")
         if not a1 >= a2 >= a3:
             raise DomainError(f"({a1},{a2},{a3}) is not weakly decreasing")

@@ -25,6 +25,10 @@ def test_multiset_basics():
         So3MultiSet({-1: 1})
     with pytest.raises(DomainError):
         So3MultiSet({1: -2})
+    with pytest.raises(DomainError):
+        So3MultiSet({True: 1})
+    with pytest.raises(DomainError):
+        So3MultiSet({1: True})
 
 
 def test_su2_tensor_multiplicity_examples():

@@ -12,8 +12,18 @@ import pytest
 
 from sobranch import cli, kostant, tsukamoto
 from sobranch.cli import main
+from sobranch.clebsch_gordan import closed_form_B, closed_form_D
+from sobranch.oracle import branch_oracle
 from sobranch.tsukamoto import multiplicity_tsukamoto
-from sobranch.weights import BranchingQuery, Weight, tilde
+from sobranch.weights import (
+    BranchingQuery,
+    Weight,
+    g_rank,
+    interlace,
+    iter_dominant_weights,
+    k_family,
+    tilde,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -113,23 +123,34 @@ def test_decompose_oracle_at_B_n6_reads_the_dominant_chamber(capsys):
         assert row["multiplicity"] == multiplicity_tsukamoto(q), row
 
 
-def test_decompose_closed_form_subset_of_oracle(capsys):
-    code, out, _ = run(
-        capsys,
-        "decompose", "--family", "D", "--n", "1", "--lam", "2,1,1",
-        "--methods", "closed-form", "--format", "json",
-    )
+def decompose_rows(capsys, family, n, lam, method):
+    code, out, _ = run(capsys, "decompose", "--family", family, "--n", str(n),
+                       "--lam", ",".join(map(str, lam.to_ints())), "--methods", method,
+                       "--format", "json")
     assert code == 0
-    closed = {(tuple(r["mu"]), r["k"]): r["multiplicity"] for r in json.loads(out)["results"]}
-    code, out, _ = run(
-        capsys,
-        "decompose", "--family", "D", "--n", "1", "--lam", "2,1,1", "--format", "json",
-    )
-    oracle_entries = {
-        (tuple(r["mu"]), r["k"]): r["multiplicity"] for r in json.loads(out)["results"]
-    }
-    for key, value in closed.items():
-        assert oracle_entries.get(key, 0) == value
+    return [((tuple(r["mu"]), r["k"]), r["multiplicity"]) for r in json.loads(out)["results"]]
+
+
+def test_decompose_closed_form_subset_of_oracle(capsys):
+    # decompose walks the registry over k up to the coordinate sum of lam and
+    # keeps the non-zero values: the oracle's whole table, and the closed
+    # form's multiset on every simply interlacing mu, must come through
+    lams = 0
+    for family, n, bound in [("B", 2, 2), ("D", 1, 2), ("D", 2, 1), ("B", 3, 1)]:
+        closed_form = closed_form_B if family == "B" else closed_form_D
+        for lam in iter_dominant_weights(family, g_rank(family, n), bound):
+            lams += 1
+            table = branch_oracle(family, n, lam)
+            assert decompose_rows(capsys, family, n, lam, "oracle") == table.items(), lam
+            closed_rows = decompose_rows(capsys, family, n, lam, "closed-form")
+            assert closed_rows == sorted(
+                ((mu.to_ints(), k), m)
+                for mu in iter_dominant_weights(k_family(family), n, lam.to_ints()[0])
+                if interlace("simple", family, lam, mu)
+                for k, m in closed_form(lam, mu).items()
+            ), lam
+            assert all(table.get(mu, k) == m for (mu, k), m in closed_rows), lam
+    assert lams == 35
 
 
 def test_verify_agreement(capsys):
@@ -192,7 +213,7 @@ def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
     assert code == 0
     assert out == ("OK family=B n=2 max=2: 360 grid points agree across "
                    "tsukamoto, closed-form, ending, kostant-reduced\n")
-    pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
+    pairs = len({(lam, mu) for lam, mu, _, _ in cli.sweep("B", 2, 2, ())})
     assert calls == {"closed_form_B": pairs, "ending_B": pairs,
                      "tsukamoto_generating_function": pairs}
     # one reduced-sum binding per pair, n/a pairs included
@@ -216,7 +237,7 @@ def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
     assert code == 0
     assert out == ("OK family=B n=2 max=2: 360 grid points agree across "
                    "closed-form, ending, kostant-reduced\n")
-    pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
+    pairs = len({(lam, mu) for lam, mu, _, _ in cli.sweep("B", 2, 2, ())})
     assert pairs == 90 and 0 < len(built) <= 3 * pairs
     assert kostant._reduced_terms.cache_info().misses == pairs
 
@@ -243,7 +264,7 @@ def test_verify_builds_each_full_sum_once_per_pair(capsys, monkeypatch):
                        "--methods", "all")
     assert code == 0
     assert out.startswith("OK family=B n=2 max=2: 360 grid points agree across ")
-    pairs = len({(lam, mu) for lam, mu, _ in cli._grid("B", 2, 2)})
+    pairs = len({(lam, mu) for lam, mu, _, _ in cli.sweep("B", 2, 2, ())})
     # one call per point, and one binding of the pair's terms per pair
     assert calls == {"multiplicity_kostant_full": 360}
     assert kostant._pair_terms.cache_info().misses == pairs
@@ -282,7 +303,7 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points)
     assert code == 0
     assert out == (f"OK family=D n={n} max=2: {points} grid points agree across "
                    "tsukamoto, closed-form, ending, kostant-reduced\n")
-    pairs = {(lam, mu) for lam, mu, _ in cli._grid("D", n, 2)}
+    pairs = {(lam, mu) for lam, mu, _, _ in cli.sweep("D", n, 2, ())}
     normalized = {(tilde("D", lam) if lam.coords2[-1] < 0 else lam, mu) for lam, mu in pairs}
     assert len(normalized) < len(pairs)
     assert calls == {"closed_form_D": len(pairs), "ending_D": len(pairs),
@@ -320,11 +341,21 @@ def test_verify_tables_hold_one_lam(capsys, monkeypatch):
      "d21db08a06e1199bc6a47a97cd05b97e"),
     ("verify --family D --n 3 --max 2 --methods kostant-reduced,tsukamoto,closed-form,ending",
      "fad3fb28425faf01cfa4c25e5b8bdd4a"),
-], ids=["B-n3-max1-all", "B-n3-max3-fast", "D-n3-max2-fast"])
+    ("decompose --family D --n 3 --lam 3,2,2,2,-1 --methods closed-form",
+     "9e94ac1f5a74f9b8f0abb923fefdcd0e"),
+    ("decompose --family B --n 4 --lam 3,2,2,1,0 --methods oracle",
+     "d705317968f9a03c69d6f33706cda6d8"),
+    ("decompose --family D --n 2 --lam 2,2,1,-1", "f0998e72ad6e0e41845344d1e354185b"),
+    ("decompose --family B --n 3 --lam 3,3,1,0 --methods closed-form",
+     "9ec4612cd066354a6bdd5101aa37be6d"),
+], ids=["B-n3-max1-all", "B-n3-max3-fast", "D-n3-max2-fast", "decompose-D-n3-closed-form",
+        "decompose-B-n4-oracle", "decompose-D-n2-default", "decompose-B-n3-closed-form"])
 def test_verify_output_is_byte_identical(capsys, argv, digest):
     # md5 of stdout, stderr and the exit code, recorded before the routes'
     # per-pair costs were cut (it equals that of `{ python -m sobranch.cli
-    # ARGV --format json 2>&1; echo rc=$?; }`): a speed-up may not change a byte
+    # ARGV --format json 2>&1; echo rc=$?; }`): a speed-up may not change a
+    # byte; the decompose digests were recorded before decompose read its
+    # rows from the method registry
     code, out, err = run(capsys, *argv.split(), "--format", "json")
     assert hashlib.md5(f"{out}{err}rc={code}\n".encode()).hexdigest() == digest
 
@@ -332,7 +363,12 @@ def test_verify_output_is_byte_identical(capsys, argv, digest):
 def test_sweep_walks_the_verify_grid_in_order():
     methods = tuple(cli.METHODS)
     points = list(cli.sweep("B", 2, 1, methods))
-    assert [point[:3] for point in points] == list(cli._grid("B", 2, 1))
+    assert [point[:3] for point in points] == [
+        (lam, mu, k)
+        for lam in iter_dominant_weights("B", 3, 1)
+        for mu in iter_dominant_weights("D", 2, 1)
+        for k in range(sum(abs(c) for c in lam.to_ints()) + 1)
+    ]
     for lam, mu, k, values in points:
         assert values == {
             method: cli._method_value(method, "B", 2, lam, mu, k, {}) for method in methods

@@ -37,7 +37,7 @@ def q_D(lam, mu, k):
 
 def grid_queries(family, n, bound):
     """The queries of ``verify``'s grid, in its order."""
-    for lam, mu, k in cli._grid(family, n, bound):
+    for lam, mu, k, _ in cli.sweep(family, n, bound, ()):
         yield BranchingQuery(family, n, lam, mu, k)
 
 
@@ -222,7 +222,7 @@ def scalar_terms(q, points):
 
 @pytest.mark.parametrize("family, n, bound", ORBIT_GRIDS)
 def test_row_terms_match_scalar_counts_past_the_grid(family, n, bound):
-    for lam, mu in dict.fromkeys((lam, mu) for lam, mu, _ in cli._grid(family, n, bound)):
+    for lam, mu in dict.fromkeys((lam, mu) for lam, mu, _, _ in cli.sweep(family, n, bound, ())):
         points = weyl_points(family, n, lam)
         k_top = sum(abs(c) for c in lam.to_ints())
         for k in range(k_top + 4):

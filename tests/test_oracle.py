@@ -140,6 +140,9 @@ def test_branch_oracle_examples():
     assert table == MultiplicityTable({((1, 0), 0): 1, ((0, 0), 1): 1})
     assert oracle("B", 2, w([0, 0, 0])) == MultiplicityTable({((0, 0), 0): 1})
     assert oracle("D", 1, w([1, 0, 0])) == MultiplicityTable({((1,), 0): 1, ((0,), 1): 1})
+    for entries in ({((1,), -1): 1}, {((1,), 0): 0}, {((1,), True): 1}, {((1,), 0): True}):
+        with pytest.raises(DomainError):
+            MultiplicityTable(entries)
 
 
 def test_branch_oracle_adjoint_B():

@@ -37,6 +37,10 @@ def test_laurent_basics():
     assert (mono(2) - mono(2)).is_zero
     with pytest.raises(DomainError):
         LaurentPoly({0.5: 1})
+    with pytest.raises(DomainError):
+        LaurentPoly({True: 1})
+    with pytest.raises(DomainError):
+        LaurentPoly({0: True})
 
 
 poly_strategy = st.lists(
@@ -138,7 +142,7 @@ def reference_series(family, lam, mu):
 ])
 def test_window_sum_series_matches_bracket_products(family, n, bound):
     # every pair of these verify grids, 4,354 a-tuples with brackets [l] up to l = bound + 1
-    pairs = {(lam, mu) for lam, mu, _ in cli._grid(family, n, bound)}
+    pairs = {(lam, mu) for lam, mu, _, _ in cli.sweep(family, n, bound, ())}
     for lam, mu in pairs:
         assert tsukamoto_generating_function(family, lam, mu) == reference_series(
             family, lam, mu), (lam, mu)
@@ -217,7 +221,7 @@ def test_total_h_dimension_matches_oracle():
 def test_family_D_series_is_tilde_invariant(n, bound):
     # multiplicity_tsukamoto tilde-normalizes a family D lam, so the series
     # of a lam with a negative last coordinate is checked here directly
-    pairs = {(lam, mu) for lam, mu, _ in cli._grid("D", n, bound)}
+    pairs = {(lam, mu) for lam, mu, _, _ in cli.sweep("D", n, bound, ())}
     twisted = [(lam, mu) for lam, mu in pairs if lam.coords2[-1] < 0]
     assert twisted
     for lam, mu in twisted:

@@ -284,6 +284,7 @@ BAD_VALUES = [pytest.param(BranchingQuery, f, id=f"fields{i}") for i, f in enume
     pytest.param(SignedPermutation, ((1, 0), frozenset({2})), id="SignedPermutation-flip"),
     pytest.param(U3Weight, (1, 2, 0), id="U3Weight-increasing"),
     pytest.param(U3Weight, (2, 1.0, 0), id="U3Weight-float"),
+    pytest.param(U3Weight, (True, False, False), id="U3Weight-bool"),
 ]
 
 
