@@ -66,10 +66,10 @@ def su2_tensor_multiplicity(r: Sequence[int], k: int) -> int:
     """Multiplicity of the (k+1)-dimensional SU(2) irreducible inside the
     tensor product of the (r_i+1)-dimensional ones, as a difference of two
     paired-generator partition counts."""
-    labels = [int(x) for x in r]
+    labels = list(r)
     if not labels:
         raise DomainError("factor list must be non-empty")
-    if any(x < 0 for x in labels) or k < 0:
+    if any(type(x) is not int or x < 0 for x in [*labels, k]):
         raise DomainError("labels must be non-negative integers")
     n = len(labels) - 1
     low = Weight.of_ints(labels[:n] + [labels[n] - k])

@@ -57,9 +57,10 @@ def _oracle(family: str, n: int, lam: Weight, mu: Weight, tables: dict):
 
 
 # Method name -> pair entry (family, n, lam, mu, per-lam tables) -> read, in
-# alphabetical order: read(k) is the multiplicity, and a PreconditionError
-# from either step means n/a.  Closed-form and ending read the pair's SO(3)
-# multiset, the oracle its table of lam, kostant-reduced the pair's binding;
+# alphabetical order: read(k) is the multiplicity.  n/a is decided once, when
+# the pair is bound: a PreconditionError from the entry means n/a for every k,
+# and no reader raises one.  Closed-form and ending read the pair's SO(3)
+# multiset, the oracle its table of lam, kostant-reduced the pair's row;
 # tsukamoto and kostant-full make one query per k.  The entries look the
 # library functions up in this module's globals at call time, so code that
 # rebinds one of them here (a tracer, a fault injection) sees every call.
@@ -111,10 +112,7 @@ def _method_value(
         except PreconditionError:
             read = None
         tables[method, mu] = read
-    try:
-        return None if read is None else read(k)
-    except PreconditionError:
-        return None
+    return None if read is None else read(k)
 
 
 def _row(mu, k: int, method: str, multiplicity: int | None) -> dict:

@@ -36,12 +36,12 @@ repeated work:
   past its span, so the walk needs no cut-off by phi.  A verify sweep asks
   for every k of a pair back to back, so each pair is bound once.
 
-The reduced sum is bound the same way, per pair in an LRU of the same size
-(``_reduced_terms``): all its terms share one head target, so it holds one
-row, and ``reduced_pair`` reads each term at k off it.  A pair that does
-not simply interlace is bound too, to its error's arguments, so an n/a
-pair costs one lookup and formats no message.  Both paths count
-partitions only through rows.
+The reduced sum keeps no pairs of its own: all its terms share one head
+target, so ``reduced_pair`` binds one row per call and returns the reader
+of k, and a caller that asks for every k of a pair (the verify walk's
+per-lam tables) keeps that reader.  A pair that does not simply interlace
+raises InterlacingError at the bind.  Both paths count partitions only
+through rows.
 """
 
 from __future__ import annotations
@@ -110,10 +110,9 @@ def _sigma(family: str, n: int) -> PartitionFunction:
     return partition_function(make_root_data(family, n).sigma)
 
 
-#: bound pairs kept by each of the full and the reduced sum, one per
-#: (family, n, lam, mu); a verify sweep asks for every k of one pair back to
-#: back.  A kept pair holds its rows even after the partition cache evicts
-#: them.
+#: bound pairs kept by the full sum, one per (family, n, lam, mu); a verify
+#: sweep asks for every k of one pair back to back.  A kept pair holds its
+#: rows even after the partition cache evicts them.
 _PAIRS = 64
 
 
@@ -195,20 +194,17 @@ def multiplicity_kostant_full(q: BranchingQuery) -> int:
     return total
 
 
-@lru_cache(maxsize=_PAIRS)
-def _reduced_terms(
-    family: str, n: int, lam: Weight, mu: Weight
-) -> tuple[Row | None, tuple]:
-    """The reduced sum of one (lam, mu) pair for every k, after
-    tilde-normalization: a two-term difference for family B, a four-term
-    signed sum for family D.  Every term has the same head target, so the
-    binding is sigma's ``PartitionFunction.row`` of that head and per term
-    (sign, last coordinate at k = 0, step per unit of k), the term at k
-    being row[last + step * k].  Where mu does not simply interlace lam it
-    is (None, the InterlacingError's arguments) instead."""
+def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
+    """k -> the reduced sum of (lam, mu) after tilde-normalization: a two-term
+    difference for family B, a four-term signed sum for family D.  Every term
+    has the same head target, so the pair binds sigma's
+    ``PartitionFunction.row`` of that head once, and per term (sign, last
+    coordinate at k = 0, step per unit of k), the term at k being
+    row[last + step * k].  Raises InterlacingError where mu does not simply
+    interlace lam."""
     q = BranchingQuery(family, n, lam, mu, 0).normalized()
     if not interlace("simple", q.family, q.lam, q.mu):
-        return None, (q.lam, q.mu, q.family)
+        raise InterlacingError(q.lam, q.mu, q.family)
     *head, last = (restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))).coords2
     if q.family == FAMILY_B:
         terms = ((1, last, -2), (-1, last + 2, 2))
@@ -221,21 +217,14 @@ def _reduced_terms(
             (-1, last + 2 * (lam_second_last - lam_last + 1), -2),
             (-1, last - 2 * (lam_second_last + lam_last + 1), -2),
         )
-    return _sigma(q.family, q.n).row(tuple(head)), terms
-
-
-def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
-    """k -> the reduced sum of (lam, mu), read off the pair's binding.  Raises
-    InterlacingError where mu does not simply interlace lam (after tilde-normalization)."""
-    row, terms = _reduced_terms(family, n, lam, mu)
-    if row is None:
-        raise InterlacingError(*terms)
+    row = _sigma(q.family, q.n).row(tuple(head))
 
     def read(k: int) -> int:
         total = sum(sign * row[last + step * k] for sign, last, step in terms)
         if total < 0:
-            q = BranchingQuery(family, n, lam, mu, k)
-            raise InternalInconsistencyError(f"negative reduced sum {total} for {q}")
+            raise InternalInconsistencyError(
+                f"negative reduced sum {total} for {BranchingQuery(family, n, lam, mu, k)}"
+            )
         return total
 
     return read

@@ -113,7 +113,7 @@ class LaurentPoly:
 def quantum_bracket(l: int) -> LaurentPoly:
     """[l] = (x^l - x^-l)/(x - x^-1) = x^(l-1) + x^(l-3) + ... + x^-(l-1),
     for integer l >= 1; l terms, all coefficients one."""
-    if not isinstance(l, int) or l < 1:
+    if type(l) is not int or l < 1:
         raise DomainError(f"quantum_bracket needs an integer l >= 1, got {l!r}")
     return LaurentPoly({e2: 1 for e2 in range(-2 * (l - 1), 2 * (l - 1) + 1, 4)})
 

@@ -57,7 +57,7 @@ def u3_to_so3_closed(lam_prime: U3Weight, k: int) -> int:
     The cases are guarded exclusively in their displayed order; overlapping
     boundaries agree (checked in the test suite, not assumed here).
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise DomainError("k must be a non-negative integer")
     p = lam_prime.a1 - lam_prime.a3
     q = lam_prime.a2 - lam_prime.a3
@@ -132,7 +132,7 @@ def u3_to_so3_oracle(lam_prime: U3Weight, k: int) -> int:
     """Multiplicity of the (2k+1)-dimensional SO(3) irreducible by
     Gelfand-Tsetlin counting plus character stripping; independent of the
     closed formula."""
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise DomainError("k must be a non-negative integer")
     p = lam_prime.a1 - lam_prime.a3
     q = lam_prime.a2 - lam_prime.a3

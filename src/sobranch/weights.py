@@ -51,6 +51,8 @@ def check_family(family: str) -> None:
 
 def check_family_n(family: str, n: int) -> None:
     check_family(family)
+    if type(n) is not int:
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n < FAMILY_MIN_N[family]:
         raise DomainError(
             f"family {family} requires n >= {FAMILY_MIN_N[family]}, got n={n}"
@@ -291,15 +293,8 @@ def iter_dominant_weights(family: str, rank: int, max_first: int) -> Iterator[We
     if rank < 1:
         raise DomainError("rank must be positive")
 
-    def rec(length: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        for v in range(bound, -1, -1):
-            for rest in rec(length - 1, v):
-                yield (v,) + rest
-
-    for tup in rec(rank, max_first):
+    # non-increasing tuples of max_first..0, in decreasing lexicographic order
+    for tup in itertools.combinations_with_replacement(range(max_first, -1, -1), rank):
         yield Weight.of_ints(tup)
         if family == FAMILY_D and tup[-1] > 0:
             yield Weight.of_ints(tup[:-1] + (-tup[-1],))
@@ -405,6 +400,8 @@ class BranchingQuery(namedtuple("BranchingQuery", "family n lam mu k")):
 
     def __new__(cls, family: str, n: int, lam: Weight, mu: Weight, k: int) -> "BranchingQuery":
         check_pair(family, n, lam, mu)
+        if type(k) is not int:
+            raise DomainError(f"k must be an integer, got {k!r}")
         if k < 0:
             raise DomainError("k must be non-negative")
         return tuple.__new__(cls, (family, n, lam, mu, k))

@@ -41,6 +41,8 @@ def test_su2_tensor_multiplicity_examples():
         su2_tensor_multiplicity([], 0)
     with pytest.raises(DomainError):
         su2_tensor_multiplicity([1, -1], 0)
+    with pytest.raises(DomainError):
+        su2_tensor_multiplicity([1.5, 1], 1)
 
 
 def test_su2_tensor_multiplicity_nonnegative_everywhere():

@@ -13,6 +13,7 @@ import pytest
 from sobranch import cli, kostant, tsukamoto
 from sobranch.cli import main
 from sobranch.clebsch_gordan import closed_form_B, closed_form_D
+from sobranch.errors import PreconditionError
 from sobranch.oracle import branch_oracle
 from sobranch.tsukamoto import multiplicity_tsukamoto
 from sobranch.weights import (
@@ -206,18 +207,16 @@ def count_calls(monkeypatch, *targets) -> Counter:
 
 def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
     calls = count_calls(monkeypatch, (cli, "closed_form_B"), (cli, "ending_B"),
-                        (tsukamoto, "tsukamoto_generating_function"))
-    kostant._reduced_terms.cache_clear()
+                        (cli, "reduced_pair"), (tsukamoto, "tsukamoto_generating_function"))
     code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
                        "--methods", "tsukamoto,closed-form,ending,kostant-reduced")
     assert code == 0
     assert out == ("OK family=B n=2 max=2: 360 grid points agree across "
                    "tsukamoto, closed-form, ending, kostant-reduced\n")
     pairs = len({(lam, mu) for lam, mu, _, _ in cli.sweep("B", 2, 2, ())})
-    assert calls == {"closed_form_B": pairs, "ending_B": pairs,
-                     "tsukamoto_generating_function": pairs}
     # one reduced-sum binding per pair, n/a pairs included
-    assert kostant._reduced_terms.cache_info().misses == pairs
+    assert calls == {"closed_form_B": pairs, "ending_B": pairs, "reduced_pair": pairs,
+                     "tsukamoto_generating_function": pairs}
 
 
 def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
@@ -231,7 +230,7 @@ def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
         return query(*fields)
 
     monkeypatch.setattr(cli, "BranchingQuery", counting)
-    kostant._reduced_terms.cache_clear()
+    calls = count_calls(monkeypatch, (cli, "reduced_pair"))
     code, out, _ = run(capsys, "verify", "--family", "B", "--n", "2", "--max", "2",
                        "--methods", "closed-form,ending,kostant-reduced")
     assert code == 0
@@ -239,7 +238,7 @@ def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
                    "closed-form, ending, kostant-reduced\n")
     pairs = len({(lam, mu) for lam, mu, _, _ in cli.sweep("B", 2, 2, ())})
     assert pairs == 90 and 0 < len(built) <= 3 * pairs
-    assert kostant._reduced_terms.cache_info().misses == pairs
+    assert calls == {"reduced_pair": pairs}
 
 
 @pytest.mark.parametrize(
@@ -296,8 +295,7 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points)
     # reads the partner's rows, so the LRU must hold 2N - 1 rows for the N
     # mus of a lam: N = 36 at n=7 max=2
     calls = count_calls(monkeypatch, (cli, "closed_form_D"), (cli, "ending_D"),
-                        (tsukamoto, "tsukamoto_generating_function"))
-    kostant._reduced_terms.cache_clear()
+                        (cli, "reduced_pair"), (tsukamoto, "tsukamoto_generating_function"))
     code, out, _ = run(capsys, "verify", "--family", "D", "--n", str(n), "--max", "2",
                        "--methods", "tsukamoto,closed-form,ending,kostant-reduced")
     assert code == 0
@@ -306,11 +304,10 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points)
     pairs = {(lam, mu) for lam, mu, _, _ in cli.sweep("D", n, 2, ())}
     normalized = {(tilde("D", lam) if lam.coords2[-1] < 0 else lam, mu) for lam, mu in pairs}
     assert len(normalized) < len(pairs)
-    assert calls == {"closed_form_D": len(pairs), "ending_D": len(pairs),
-                     "tsukamoto_generating_function": len(normalized)}
     # the reduced sum is bound once per pair as the sweep names it, n/a pairs
-    # included: its binding is keyed before it tilde-normalizes
-    assert kostant._reduced_terms.cache_info().misses == len(pairs)
+    # included
+    assert calls == {"closed_form_D": len(pairs), "ending_D": len(pairs),
+                     "reduced_pair": len(pairs), "tsukamoto_generating_function": len(normalized)}
 
 
 def test_verify_tables_hold_one_lam(capsys, monkeypatch):
@@ -335,6 +332,28 @@ def test_verify_tables_hold_one_lam(capsys, monkeypatch):
     assert len({id(tables) for tables in tables_of.values()}) == len(tables_of) > 1
 
 
+def test_every_method_decides_n_a_when_it_binds_a_pair():
+    # _method_value catches PreconditionError only at the bind: an entry
+    # either raises it there or returns a reader that answers every k
+    pairs = 0
+    for family, n, bound in (("B", 2, 2), ("D", 1, 2), ("D", 2, 1), ("B", 3, 1)):
+        mus = list(iter_dominant_weights(k_family(family), n, bound))
+        for lam in iter_dominant_weights(family, g_rank(family, n), bound):
+            tables: dict = {}
+            k_top = sum(abs(c) for c in lam.to_ints())
+            for mu in mus:
+                pairs += 1
+                for method, entry in cli.METHODS.items():
+                    try:
+                        read = entry(family, n, lam, mu, tables)
+                    except PreconditionError:
+                        continue
+                    for k in range(k_top + 1):
+                        value = read(k)
+                        assert type(value) is int and value >= 0, (method, lam, mu, k)
+    assert pairs == 175
+
+
 @pytest.mark.parametrize("argv, digest", [
     ("verify --family B --n 3 --max 1 --methods all", "02f803095f11fa65341d2689e6ec32c9"),
     ("verify --family B --n 3 --max 3 --methods kostant-reduced,tsukamoto,closed-form,ending",
@@ -348,14 +367,23 @@ def test_verify_tables_hold_one_lam(capsys, monkeypatch):
     ("decompose --family D --n 2 --lam 2,2,1,-1", "f0998e72ad6e0e41845344d1e354185b"),
     ("decompose --family B --n 3 --lam 3,3,1,0 --methods closed-form",
      "9ec4612cd066354a6bdd5101aa37be6d"),
+    ("mult --family D --n 1 --lam 1,1,-1 --mu 0 --k 1 --methods all",
+     "1ed6b3dc430e55072b0e265ece777813"),
+    ("mult --family B --n 3 --lam 3,1,1,0 --mu 2,2,0 --k 1 --methods all",
+     "71b440fba6fdcda38907f2dd2a743d3a"),
+    ("mult --family B --n 4 --lam 2,2,1,0,0 --mu 2,1,1,1 --k 4 --methods all",
+     "ff4576a583ecbec5535c527fd1c488c7"),
+    ("u3so3 --lam 4,2,0", "b09789f0443936dad4bd6ce2b22dd87d"),
 ], ids=["B-n3-max1-all", "B-n3-max3-fast", "D-n3-max2-fast", "decompose-D-n3-closed-form",
-        "decompose-B-n4-oracle", "decompose-D-n2-default", "decompose-B-n3-closed-form"])
+        "decompose-B-n4-oracle", "decompose-D-n2-default", "decompose-B-n3-closed-form",
+        "mult-D-n1-all", "mult-B-n3-reduced-na", "mult-B-n4-all", "u3so3"])
 def test_verify_output_is_byte_identical(capsys, argv, digest):
     # md5 of stdout, stderr and the exit code, recorded before the routes'
     # per-pair costs were cut (it equals that of `{ python -m sobranch.cli
     # ARGV --format json 2>&1; echo rc=$?; }`): a speed-up may not change a
     # byte; the decompose digests were recorded before decompose read its
-    # rows from the method registry
+    # rows from the method registry, the mult and u3so3 ones before the
+    # reduced sum lost its pair cache
     code, out, err = run(capsys, *argv.split(), "--format", "json")
     assert hashlib.md5(f"{out}{err}rc={code}\n".encode()).hexdigest() == digest
 

@@ -72,9 +72,6 @@ def test_reduced_examples():
 def test_reduced_requires_simple_interlacing():
     with pytest.raises(InterlacingError):
         multiplicity_kostant_reduced(q_B([2, 2, 0], [1, 0], 0))
-    # an n/a pair is bound to its error's arguments, not to a formatted message
-    bound = kostant._reduced_terms("D", 1, w([2, 2, -1]), w([0]))
-    assert bound == (None, (w([2, 2, 1]), w([0]), "D"))
 
 
 def test_reduced_equals_full_on_interlacing_grid():
@@ -255,7 +252,6 @@ def test_orbit_is_exactly_the_usable_points(family, n):
 
 def test_orbit_and_binding_caches_are_bounded():
     assert kostant._pair_terms.cache_info().maxsize is not None
-    assert kostant._reduced_terms.cache_info().maxsize == kostant._PAIRS
     assert kostant._sigma.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
     assert tsukamoto._pair_row.cache_info().maxsize == tsukamoto._PAIR_ROWS == 128

@@ -65,6 +65,8 @@ def test_quantum_bracket():
         assert pair(2) * quantum_bracket(l) == pair(2 * l)
     with pytest.raises(DomainError):
         quantum_bracket(0)
+    with pytest.raises(DomainError):
+        quantum_bracket(True)
 
 
 def test_atuple_enumeration_family_B():

@@ -35,6 +35,8 @@ def test_closed_formula_examples():
     assert u3_to_so3_closed(U3Weight(0, 0, 0), 0) == 1
     with pytest.raises(DomainError):
         u3_to_so3_closed(U3Weight(1, 0, 0), -1)
+    with pytest.raises(DomainError):
+        u3_to_so3_closed(U3Weight(1, 0, 0), True)
 
 
 def test_oracle_examples():
@@ -42,6 +44,8 @@ def test_oracle_examples():
     # the three Gelfand-Tsetlin patterns of (1,0,0) give torus images 1,-1,0
     assert u3_to_so3_oracle(U3Weight(1, 0, 0), 1) == 1
     assert u3_to_so3_oracle(U3Weight(1, 0, 0), 0) == 0
+    with pytest.raises(DomainError):
+        u3_to_so3_oracle(U3Weight(1, 0, 0), True)
 
 
 def test_closed_matches_oracle_on_grid():

@@ -80,6 +80,8 @@ def test_root_data_rejects_small_n():
         make_root_data("D", 0)
     with pytest.raises(DomainError):
         make_root_data("A", 2)
+    with pytest.raises(DomainError):
+        make_root_data("B", 2.5)
 
 
 def test_weyl_group_counts_and_uniqueness():
@@ -265,6 +267,9 @@ BAD_QUERIES = [
     ("B", 2, w([0, 1, 0]), w([0, 0]), 0),  # lam not dominant
     ("D", 1, w([2, 1, -1]), w([1, 0]), 1),  # mu of the wrong rank
     ("D", 1, w([2, 1, -1]), w([1]), -1),  # k < 0
+    ("B", 2.0, w([1, 0, 0]), w([0, 0]), 1),  # n not an int
+    ("D", 1, w([2, 1, -1]), w([1]), 1.5),  # k not an int
+    ("D", 1, w([2, 1, -1]), w([1]), True),  # k a bool
 ]
 #: every validated named tuple: valid fields, a valid change of one, the repr
 VALUES = [
