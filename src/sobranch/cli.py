@@ -9,7 +9,11 @@ Subcommands: ``mult`` (per-method multiplicities for one query),
 registry ``METHODS``: ``verify`` and the cross-route test sweeps walk a
 verify grid (``sweep``), ``decompose`` one lam.  Each method is resolved
 once per (lam, mu) pair to a reader of k, kept for the current lam only; a
-grid point then costs one lookup and one read per method.
+grid point then costs one lookup and one read per method.  A pair is
+validated once, where it enters: the walk's pairs are valid by construction
+(``iter_dominant_weights`` makes the verify grid and every mu of
+``decompose``, whose lam ``check_pair`` tests first), and ``mult`` builds
+its one ``BranchingQuery`` up front.
 
 Exit codes: 0 success/agreement, 1 divergence between methods, 2 usage
 error.  Reports go to stdout, diagnostics to stderr.  The environment
@@ -56,7 +60,7 @@ def _oracle(family: str, n: int, lam: Weight, mu: Weight, tables: dict):
     return table.reader(mu)
 
 
-# Method name -> pair entry (family, n, lam, mu, per-lam tables) -> read, in
+# Method name -> entry of a valid pair (family, n, lam, mu, per-lam tables) -> read, in
 # alphabetical order: read(k) is the multiplicity.  n/a is decided once, when
 # the pair is bound: a PreconditionError from the entry means n/a for every k,
 # and no reader raises one.  Closed-form and ending read the pair's SO(3)
@@ -103,10 +107,9 @@ def _method_value(
     method: str, family: str, n: int, lam: Weight, mu: Weight, k: int, tables: dict
 ) -> int | None:
     """One method's answer, or None where it does not apply.  Its reader of (lam, mu),
-    or None, is kept in the per-lam tables from the pair's first point, which validates."""
+    or None, is kept in the per-lam tables from the pair's first point; the pair arrives valid."""
     read = tables.get((method, mu), _MISSING)
     if read is _MISSING:
-        BranchingQuery(family, n, lam, mu, k)
         try:
             read = METHODS[method](family, n, lam, mu, tables)
         except PreconditionError:
@@ -144,14 +147,9 @@ def _emit(report: dict, rows: list[dict], fmt: str, out) -> None:
 
 
 def _cmd_mult(args: argparse.Namespace, out) -> int:
-    check_family_n(args.family, args.n)
-    lam, mu = Weight.of_ints(args.lam), Weight.of_ints(args.mu)
+    q = BranchingQuery(args.family, args.n, Weight.of_ints(args.lam), Weight.of_ints(args.mu), args.k)
     tables: dict = {}
-    rows = [
-        _row(args.mu, args.k, method,
-             _method_value(method, args.family, args.n, lam, mu, args.k, tables))
-        for method in args.methods
-    ]
+    rows = [_row(args.mu, args.k, method, _method_value(method, *q, tables)) for method in args.methods]
     _emit({"family": args.family, "n": args.n, "lambda": list(args.lam)}, rows, args.format, out)
     values = {row["multiplicity"] for row in rows} - {None}
     return 0 if len(values) <= 1 else 1
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="full branching table of one lambda")
     add_common(p_dec, need_mu=False, need_k=False)
-    p_dec.add_argument("--methods", choices=("oracle", "closed-form"), default="oracle")
+    p_dec.add_argument("--methods", choices=tuple(METHODS), default="oracle")
     p_dec.set_defaults(run=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="cross-method agreement sweep")

@@ -375,8 +375,8 @@ def count_sigma_prime(n: int, target: Weight) -> int:
     running balance sum(a_i - b_i) is tracked; the count is the number of
     balance paths landing on the last coordinate.
     """
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    if type(n) is not int or n < 0:
+        raise DomainError(f"n must be a non-negative integer, got {n!r}")
     if target.rank != n + 1:
         raise DomainError(f"target must have rank {n + 1}, got {target.rank}")
     if not target.is_integral:

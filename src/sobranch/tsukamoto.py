@@ -15,11 +15,9 @@ sweep meets few distinct ones.  Every tuple's terms go into one dict, made a
 The series of a pair (lam, mu) carries every label k at once, so
 ``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that
 ``_pair_row`` binds once per pair into a bounded LRU, like both Kostant
-sums.  A family D lam with a negative last coordinate reads the row of its
-tilde partner, which a family D sweep meets just before it, so the series
-is built once per tilde-normalized (family, lam, mu) and a grid point costs
-lookups only.  A pair whose series is zero keeps an empty row, and a pair
-that raises is not kept (it raises again on the next call).
+sums; every pair, a family D lam with a negative last coordinate included,
+is built from its own a-tuples.  A pair whose series is zero keeps an empty
+row, and a pair that raises is not kept (it raises again on the next call).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
-from .weights import FAMILY_B, FAMILY_D, BranchingQuery, Weight, check_pair, interlace, tilde
+from .weights import FAMILY_B, BranchingQuery, Weight, check_pair, interlace
 
 
 class LaurentPoly:
@@ -233,21 +231,15 @@ def extract_multiplicities(p: LaurentPoly) -> dict[int, int]:
     return out
 
 
-#: pairs whose rows are kept.  A family D sweep meets the N mu of lam, then
-#: the N mu of tilde(lam), and the i-th of the latter reads its partner row
-#: after N + i - 2 newer entries, so a sweep needs 2N - 1; 128 holds N <= 64
-#: (D n=7 max=2 has N = 36, which 64 entries would not hold)
+#: pairs whose rows are kept.  The walk sends every k of one pair back to
+#: back, so one entry would serve it; 128 leaves room for callers that
+#: interleave pairs
 _PAIR_ROWS = 128
 
 
 @lru_cache(maxsize=_PAIR_ROWS)
 def _pair_row(family: str, lam: Weight, mu: Weight) -> dict[int, int]:
-    """k -> m_k for the pair (lam, mu).  A family D lam with a negative last
-    coordinate reads the row of its tilde partner, which a family D sweep
-    has just built; family B handles a negative last coordinate of mu
-    directly."""
-    if family == FAMILY_D and lam.coords2[-1] < 0:
-        return _pair_row(family, tilde(family, lam), mu)
+    """k -> m_k for the pair (lam, mu), negative last coordinates included."""
     return extract_multiplicities(tsukamoto_generating_function(family, lam, mu))
 
 

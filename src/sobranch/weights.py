@@ -290,6 +290,8 @@ def iter_dominant_weights(family: str, rank: int, max_first: int) -> Iterator[We
     sign twin, so (1, -1) comes before (1, 0).  The verify grid walks this
     order."""
     check_family(family)
+    if type(rank) is not int or type(max_first) is not int:
+        raise DomainError(f"rank and max_first must be integers, got {rank!r}, {max_first!r}")
     if rank < 1:
         raise DomainError("rank must be positive")
 
@@ -311,8 +313,8 @@ def k_family(family: str) -> str:
     return FAMILY_D if family == FAMILY_B else FAMILY_B
 
 
-#: valid pairs remembered by ``check_pair``; a verify sweep checks each grid
-#: point's pair several times (once per method, and again inside the routes)
+#: valid pairs remembered by ``check_pair``; a verify sweep checks a pair
+#: inside the routes, at each method's bind and at every per-k query
 _CHECKED_PAIRS = 64
 
 
@@ -391,10 +393,10 @@ class BranchingQuery(namedtuple("BranchingQuery", "family n lam mu k")):
     representation occur in the ambient irreducible with highest weight
     ``lam``.
 
-    An immutable named tuple of those fields, built once per (grid point,
-    method) of a sweep, so it is validated in one step: every way to make
-    one (the constructor, ``_make``, ``_replace``, copy and pickle) runs
-    ``check_pair`` and the test of k."""
+    An immutable named tuple of those fields, built once per query, so it
+    is validated in one step: every way to make one (the constructor,
+    ``_make``, ``_replace``, copy and pickle) runs ``check_pair`` and the
+    test of k."""
 
     __slots__ = ()
 

@@ -55,9 +55,8 @@ class SweepData:
 
 
 #: the routes the verify sweep checks at every point; the oracle's value is
-#: read off the lam's whole table that the table-level criteria check (and
-#: ``ending`` is checked row by row against that table in criterion 8)
-SWEEP_METHODS = ("kostant-full", "tsukamoto", "kostant-reduced", "closed-form")
+#: read off the lam's whole table that the table-level criteria check
+SWEEP_METHODS = ("kostant-full", "tsukamoto", "kostant-reduced", "closed-form", "ending")
 
 
 def run_sweep(family: str, n: int, bound: int) -> SweepData:
@@ -88,6 +87,18 @@ def sweep_d2():
     return run_sweep("D", 2, 2)
 
 
+def _prescribed_end(family: str, lam: Weight, mu: tuple[int, ...]) -> bool:
+    """The paper's prescribed-end hypotheses, 1-based: family B needs
+    lam_{i+3} = mu_i for i <= n-2 and mu_{n-1} <= lam_{n+1}; family D needs
+    |lam_{i+3}| = mu_i for i <= n-1 and mu_n <= |lam_{n+2}|."""
+    n = len(mu)
+    L = lambda i: lam.to_ints()[i - 1]
+    M = lambda i: mu[i - 1]
+    if family == "B":
+        return all(L(i + 3) == M(i) for i in range(1, n - 1)) and M(n - 1) <= L(n + 1)
+    return all(abs(L(i + 3)) == M(i) for i in range(1, n)) and M(n) <= abs(L(n + 2))
+
+
 def _assert_four_way_agreement(sweep: SweepData):
     checked = 0
     for record in sweep.records:
@@ -97,11 +108,14 @@ def _assert_four_way_agreement(sweep: SweepData):
             assert mu in grid_mus and (mu, k) in record.rows
         for (mu, k), row in record.rows.items():
             # the full sum, the series and the oracle apply at every point,
-            # the reduced sum and the closed form exactly at simple-interlacing ones
+            # the reduced sum and the closed form exactly at simple-interlacing
+            # ones, and ending exactly where the end is prescribed
             assert None not in (row["kostant-full"], row["tsukamoto"], row["oracle"]), row
             simple = interlace("simple", sweep.family, record.lam, w(mu))
             for method in ("kostant-reduced", "closed-form"):
                 assert (row[method] is None) == (not simple), (method, record.lam, mu, k, row)
+            ending_applies = _prescribed_end(sweep.family, record.lam, mu)
+            assert (row["ending"] is None) == (not ending_applies), (record.lam, mu, k, row)
             values = {v for v in row.values() if v is not None}
             assert len(values) == 1, (sweep.family, record.lam, mu, k, row)
             checked += 1

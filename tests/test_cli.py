@@ -23,7 +23,6 @@ from sobranch.weights import (
     interlace,
     iter_dominant_weights,
     k_family,
-    tilde,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -132,26 +131,51 @@ def decompose_rows(capsys, family, n, lam, method):
     return [((tuple(r["mu"]), r["k"]), r["multiplicity"]) for r in json.loads(out)["results"]]
 
 
+#: the lams of the benchmark's decompose workload (perfbench/workloads.py)
+DECOMPOSE_TABLES = [
+    ("B", 2, (7, 2, 0)), ("B", 2, (7, 7, 6)), ("B", 2, (7, 5, 2)),
+    ("B", 3, (4, 3, 0, 0)), ("B", 3, (4, 3, 1, 1)), ("B", 3, (4, 4, 4, 1)),
+    ("B", 4, (2, 1, 0, 0, 0)), ("B", 4, (2, 2, 1, 0, 0)), ("B", 4, (2, 2, 2, 2, 0)),
+    ("D", 2, (4, 3, 3, -3)), ("D", 2, (4, 4, 2, -2)), ("D", 2, (4, 4, 3, 0)),
+    ("D", 3, (3, 1, 1, 1, -1)), ("D", 3, (3, 2, 2, 2, 1)), ("D", 3, (3, 3, 3, 2, -2)),
+]
+
+
 def test_decompose_closed_form_subset_of_oracle(capsys):
     # decompose walks the registry over k up to the coordinate sum of lam and
     # keeps the non-zero values: the oracle's whole table, and the closed
-    # form's multiset on every simply interlacing mu, must come through
-    lams = 0
-    for family, n, bound in [("B", 2, 2), ("D", 1, 2), ("D", 2, 1), ("B", 3, 1)]:
+    # form's multiset on every simply interlacing mu, must come through.  The
+    # full sum and the series give the whole table too, the reduced sum and
+    # ending the table on the mu where they bind
+    lams = [(family, n, lam)
+            for family, n, bound in [("B", 2, 2), ("D", 1, 2), ("D", 2, 1), ("B", 3, 1)]
+            for lam in iter_dominant_weights(family, g_rank(family, n), bound)]
+    assert len(lams) == 35
+    lams += [(family, n, Weight.of_ints(lam)) for family, n, lam in DECOMPOSE_TABLES]
+    for family, n, lam in lams:
         closed_form = closed_form_B if family == "B" else closed_form_D
-        for lam in iter_dominant_weights(family, g_rank(family, n), bound):
-            lams += 1
-            table = branch_oracle(family, n, lam)
-            assert decompose_rows(capsys, family, n, lam, "oracle") == table.items(), lam
-            closed_rows = decompose_rows(capsys, family, n, lam, "closed-form")
-            assert closed_rows == sorted(
-                ((mu.to_ints(), k), m)
-                for mu in iter_dominant_weights(k_family(family), n, lam.to_ints()[0])
-                if interlace("simple", family, lam, mu)
-                for k, m in closed_form(lam, mu).items()
-            ), lam
-            assert all(table.get(mu, k) == m for (mu, k), m in closed_rows), lam
-    assert lams == 35
+        mus = list(iter_dominant_weights(k_family(family), n, lam.to_ints()[0]))
+        table = branch_oracle(family, n, lam)
+        for method in ("oracle", "tsukamoto", "kostant-full"):
+            assert decompose_rows(capsys, family, n, lam, method) == table.items(), (method, lam)
+        for method in ("kostant-reduced", "ending"):
+            bound = set()
+            for mu in mus:
+                try:
+                    cli.METHODS[method](family, n, lam, mu, {})
+                except PreconditionError:
+                    continue
+                bound.add(mu.to_ints())
+            assert decompose_rows(capsys, family, n, lam, method) == [
+                ((mu, k), m) for (mu, k), m in table.items() if mu in bound], (method, lam)
+        closed_rows = decompose_rows(capsys, family, n, lam, "closed-form")
+        assert closed_rows == sorted(
+            ((mu.to_ints(), k), m)
+            for mu in mus
+            if interlace("simple", family, lam, mu)
+            for k, m in closed_form(lam, mu).items()
+        ), lam
+        assert all(table.get(mu, k) == m for (mu, k), m in closed_rows), lam
 
 
 def test_verify_agreement(capsys):
@@ -220,8 +244,8 @@ def test_verify_builds_each_whole_row_once_per_pair(capsys, monkeypatch):
 
 
 def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
-    # a grid point of a pair-read method costs a lookup: cli validates one
-    # query per (pair, method), where it once built one per (point, method)
+    # a grid point of a pair-read method costs a lookup, and the walk's pairs
+    # are valid by construction: cli builds no query for these methods
     built = []
     query = cli.BranchingQuery
 
@@ -237,7 +261,7 @@ def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
     assert out == ("OK family=B n=2 max=2: 360 grid points agree across "
                    "closed-form, ending, kostant-reduced\n")
     pairs = len({(lam, mu) for lam, mu, _, _ in cli.sweep("B", 2, 2, ())})
-    assert pairs == 90 and 0 < len(built) <= 3 * pairs
+    assert pairs == 90 and built == []
     assert calls == {"reduced_pair": pairs}
 
 
@@ -248,6 +272,9 @@ def test_verify_resolves_each_pair_once_per_method(capsys, monkeypatch):
         (("--lam", "0,1,0"), "lam=(0, 1, 0) is not dominant (family B)"),
         (("--lam", "1,0"), "lam must have rank 3, got 2"),
         (("--mu", "0,1", "--methods", "closed-form,ending"), "mu=(0, 1) is not dominant (family B)"),
+        # the oracle reads neither mu nor k: mult checks its query up front
+        (("--mu", "0,1", "--methods", "oracle"), "mu=(0, 1) is not dominant (family B)"),
+        (("--k", "-1", "--methods", "oracle"), "k must be non-negative"),
     ],
 )
 def test_mult_usage_errors_name_the_fault(capsys, argv, message):
@@ -291,9 +318,8 @@ def test_full_sum_probe_at_D_n7_places_lam_for_its_mu(capsys):
 
 @pytest.mark.parametrize("n, points", [(3, 1770), (7, 25020)], ids=["n3", "n7"])
 def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points):
-    # the D grid meets lam and tilde(lam) back to back; the Tsukamoto route
-    # reads the partner's rows, so the LRU must hold 2N - 1 rows for the N
-    # mus of a lam: N = 36 at n=7 max=2
+    # the D grid meets lam and tilde(lam) back to back; each twin's series is
+    # built from its own a-tuples, once per pair
     calls = count_calls(monkeypatch, (cli, "closed_form_D"), (cli, "ending_D"),
                         (cli, "reduced_pair"), (tsukamoto, "tsukamoto_generating_function"))
     code, out, _ = run(capsys, "verify", "--family", "D", "--n", str(n), "--max", "2",
@@ -302,12 +328,10 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points)
     assert out == (f"OK family=D n={n} max=2: {points} grid points agree across "
                    "tsukamoto, closed-form, ending, kostant-reduced\n")
     pairs = {(lam, mu) for lam, mu, _, _ in cli.sweep("D", n, 2, ())}
-    normalized = {(tilde("D", lam) if lam.coords2[-1] < 0 else lam, mu) for lam, mu in pairs}
-    assert len(normalized) < len(pairs)
-    # the reduced sum is bound once per pair as the sweep names it, n/a pairs
-    # included
+    assert any(lam.coords2[-1] < 0 for lam, _ in pairs)
+    # every route binds once per pair as the sweep names it, n/a pairs included
     assert calls == {"closed_form_D": len(pairs), "ending_D": len(pairs),
-                     "reduced_pair": len(pairs), "tsukamoto_generating_function": len(normalized)}
+                     "reduced_pair": len(pairs), "tsukamoto_generating_function": len(pairs)}
 
 
 def test_verify_tables_hold_one_lam(capsys, monkeypatch):

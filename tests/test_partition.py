@@ -70,6 +70,9 @@ def test_domain_errors():
         count_vector_partitions([w([1, 0]), w([-1, 0])], w([0, 0]))
     with pytest.raises(DomainError):
         count_sigma_prime(2, w([1, 1]))
+    for n in (True, 1.0):  # a bool would read as n = 1
+        with pytest.raises(DomainError):
+            count_sigma_prime(n, Weight((2, 2)))
 
 
 def test_specialization_matches_generic_dp():

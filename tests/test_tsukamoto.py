@@ -182,7 +182,7 @@ def test_multiplicity_examples():
     assert multiplicity_tsukamoto(BranchingQuery("B", 2, w([1, 0, 0]), w([0, 0]), 1)) == 1
     assert multiplicity_tsukamoto(BranchingQuery("B", 2, w([1, 0, 0]), w([0, 0]), 3)) == 0
     assert multiplicity_tsukamoto(BranchingQuery("D", 1, w([1, 1, 1]), w([1]), 1)) == 1
-    # family D queries are tilde-normalized internally
+    # a family D lam with a negative last coordinate is answered from its own a-tuples
     assert multiplicity_tsukamoto(BranchingQuery("D", 1, w([1, 1, -1]), w([1]), 1)) == 1
     # family B accepts a negative last coordinate of mu directly
     assert multiplicity_tsukamoto(BranchingQuery("B", 2, w([2, 1, 1]), w([2, -1]), 1)) == 1
@@ -221,8 +221,8 @@ def test_total_h_dimension_matches_oracle():
 
 @pytest.mark.parametrize("n, bound", [(1, 3), (2, 2)])
 def test_family_D_series_is_tilde_invariant(n, bound):
-    # multiplicity_tsukamoto tilde-normalizes a family D lam, so the series
-    # of a lam with a negative last coordinate is checked here directly
+    # each tilde twin's series is built from its own a-tuples, and the two
+    # must be equal
     pairs = {(lam, mu) for lam, mu, _, _ in cli.sweep("D", n, bound, ())}
     twisted = [(lam, mu) for lam, mu in pairs if lam.coords2[-1] < 0]
     assert twisted

@@ -259,6 +259,11 @@ def test_iter_dominant_weights():
         for i, t in enumerate(d):
             if t[-1] > 0:
                 assert d[i + 1] == t[:-1] + (-t[-1],)
+    # rank and max_first are plain integers: a bool would read as 1, a float
+    # would fail inside range
+    for rank, max_first in [(True, 1), (2, True), (2.0, 1), (2, 1.0)]:
+        with pytest.raises(DomainError):
+            list(iter_dominant_weights("B", rank, max_first))
 
 
 VALID_QUERY = ("D", 1, w([2, 1, -1]), w([1]), 1)
