@@ -15,51 +15,36 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, InterlacingError, InternalInconsistencyError
 from .partition import count_sigma_prime
-from .weights import FAMILY_B, FAMILY_D, Weight, interlace
+from .weights import FAMILY_B, FAMILY_D, IntMap, Weight, interlace
 
 
-class So3MultiSet:
+class So3MultiSet(IntMap):
     """Finite multiset of SO(3) irreducibles: label k (the (2k+1)-dimensional
     representation) mapped to its multiplicity."""
 
-    __slots__ = ("_mult",)
+    __slots__ = ()
+    _item = "tau_{}: {}".format
 
-    def __init__(self, mult=None):
-        data: dict[int, int] = {}
-        items = mult.items() if isinstance(mult, dict) else (mult or ())
-        for k, m in items:
-            if type(k) is not int or k < 0:
-                raise DomainError(f"label {k!r} must be a non-negative integer")
-            if type(m) is not int or m < 0:
-                raise DomainError(f"multiplicity {m!r} must be a non-negative integer")
-            if m:
-                data[k] = data.get(k, 0) + m
-        self._mult = data
+    @staticmethod
+    def _check(k, m) -> None:
+        if type(k) is not int or k < 0:
+            raise DomainError(f"label {k!r} must be a non-negative integer")
+        if m < 0:
+            raise DomainError(f"multiplicity {m!r} must be a non-negative integer")
 
     @classmethod
     def irreducible(cls, k: int) -> "So3MultiSet":
         return cls({k: 1})
 
-    def mult(self, k: int) -> int:
-        return self._mult.get(k, 0)
+    @classmethod
+    def of_labels(cls, labels: Iterable[int]) -> "So3MultiSet":
+        """tau_k once for each label k given."""
+        return cls([(k, 1) for k in labels])
 
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self._mult.items())
+    mult = IntMap.get
 
     def dimension(self) -> int:
-        return sum(m * (2 * k + 1) for k, m in self._mult.items())
-
-    def __bool__(self) -> bool:
-        return bool(self._mult)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, So3MultiSet):
-            return NotImplemented
-        return self._mult == other._mult
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"tau_{k}: {m}" for k, m in self.items())
-        return "{" + inner + "}"
+        return sum(m * (2 * k + 1) for k, m in self._data.items())
 
 
 def su2_tensor_multiplicity(r: Sequence[int], k: int) -> int:
@@ -100,15 +85,6 @@ def so3_tensor_decompose(factors: Iterable[So3MultiSet]) -> So3MultiSet:
     return So3MultiSet(acc)
 
 
-def _sum_range(lo: int, hi: int) -> So3MultiSet:
-    return So3MultiSet({j: 1 for j in range(lo, hi + 1)})
-
-
-def _even_ladder(top: int) -> So3MultiSet:
-    """tau_top + tau_{top-2} + ... down to tau_0 or tau_1."""
-    return So3MultiSet({j: 1 for j in range(top, -1, -2)})
-
-
 def closed_form_B(lam: Weight, mu: Weight) -> So3MultiSet:
     """Family B multiplicity space as an SO(3) multiset, valid under simple
     interlacing: tensor tau_{lam_{n+1}} with, for each j <= n, the ladder
@@ -120,7 +96,7 @@ def closed_form_B(lam: Weight, mu: Weight) -> So3MultiSet:
     m = mu.to_ints()
     factors = [So3MultiSet.irreducible(l[n])]
     for j in range(n):
-        factors.append(_even_ladder(l[j] - abs(m[j])))
+        factors.append(So3MultiSet.of_labels(range(l[j] - abs(m[j]), -1, -2)))
     return so3_tensor_decompose(factors)
 
 
@@ -133,7 +109,7 @@ def closed_form_D(lam: Weight, mu: Weight) -> So3MultiSet:
     n = mu.rank
     l = lam.to_ints()
     m = mu.to_ints()
-    factors = [_sum_range(abs(l[n + 1]), l[n])]
+    factors = [So3MultiSet.of_labels(range(abs(l[n + 1]), l[n] + 1))]
     for j in range(n):
-        factors.append(_even_ladder(l[j] - m[j]))
+        factors.append(So3MultiSet.of_labels(range(l[j] - m[j], -1, -2)))
     return so3_tensor_decompose(factors)

@@ -58,8 +58,10 @@ from .weights import (
     SignedPermutation,
     Weight,
     _inversion_parity,
+    check_pair,
     interlace,
     make_root_data,
+    normalize_pair,
     restrict,
     sign_patterns,
 )
@@ -202,22 +204,23 @@ def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
     coordinate at k = 0, step per unit of k), the term at k being
     row[last + step * k].  Raises InterlacingError where mu does not simply
     interlace lam."""
-    q = BranchingQuery(family, n, lam, mu, 0).normalized()
-    if not interlace("simple", q.family, q.lam, q.mu):
-        raise InterlacingError(q.lam, q.mu, q.family)
-    *head, last = (restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))).coords2
-    if q.family == FAMILY_B:
+    check_pair(family, n, lam, mu)
+    top, sub = normalize_pair(family, lam, mu)
+    if not interlace("simple", family, top, sub):
+        raise InterlacingError(top, sub, family)
+    *head, last = (restrict(family, top) - Weight(sub.coords2 + (0,))).coords2
+    if family == FAMILY_B:
         terms = ((1, last, -2), (-1, last + 2, 2))
     else:
-        l = q.lam.to_ints()
-        lam_second_last, lam_last = l[q.n], l[q.n + 1]
+        l = top.to_ints()
+        lam_second_last, lam_last = l[n], l[n + 1]
         terms = (
             (1, last, -2),
             (1, last - 4 * lam_last, -2),
             (-1, last + 2 * (lam_second_last - lam_last + 1), -2),
             (-1, last - 2 * (lam_second_last + lam_last + 1), -2),
         )
-    row = _sigma(q.family, q.n).row(tuple(head))
+    row = _sigma(family, n).row(tuple(head))
 
     def read(k: int) -> int:
         total = sum(sign * row[last + step * k] for sign, last, step in terms)

@@ -21,6 +21,7 @@ from .errors import DomainError, InternalInconsistencyError
 from .weights import (
     FAMILY_B,
     FAMILY_D,
+    IntMap,
     SignedPermutation,
     Weight,
     algebra_positive_roots,
@@ -53,22 +54,16 @@ def _check_algebra(algebra: Algebra) -> Algebra:
     return family, rank
 
 
-class CharacterMap:
+class CharacterMap(IntMap):
     """Sparse integer-valued map on the weight lattice (signed values are
-    allowed, so alternating orbit sums fit too).  Immutable."""
+    allowed, so alternating orbit sums fit too), keyed by a ``Weight`` or
+    its doubled coordinates."""
 
-    __slots__ = ("_data",)
+    __slots__ = ()
 
-    def __init__(self, data=None):
-        mapping: dict[tuple[int, ...], int] = {}
-        items = data.items() if isinstance(data, dict) else (data or ())
-        for key, value in items:
-            key = key.coords2 if isinstance(key, Weight) else tuple(key)
-            if value:
-                mapping[key] = mapping.get(key, 0) + value
-                if not mapping[key]:
-                    del mapping[key]
-        self._data = mapping
+    @staticmethod
+    def _key(key) -> tuple[int, ...]:
+        return key.coords2 if isinstance(key, Weight) else tuple(key)
 
     def get(self, w: Weight) -> int:
         return self._data.get(w.coords2, 0)
@@ -83,40 +78,21 @@ class CharacterMap:
         return CharacterMap({omega.apply2(k): v for k, v in self._data.items()})
 
     def __mul__(self, other: "CharacterMap") -> "CharacterMap":
-        out: dict[tuple[int, ...], int] = {}
-        for k1, v1 in self._data.items():
-            for k2, v2 in other._data.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0) + v1 * v2
-        return CharacterMap(out)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __bool__(self) -> bool:
-        return bool(self._data)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CharacterMap):
-            return NotImplemented
-        return self._data == other._data
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{Weight(k)}: {v}" for k, v in sorted(self._data.items()))
-        return "{" + inner + "}"
+        return CharacterMap([(tuple(a + b for a, b in zip(k1, k2)), v1 * v2)
+                             for k1, v1 in self._data.items() for k2, v2 in other._data.items()])
 
 
-class MultiplicityTable:
+class MultiplicityTable(IntMap):
     """Finite map (subgroup highest weight, SO(3) label) -> multiplicity,
     the complete answer of one branching problem."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: dict[tuple[tuple[int, ...], int], int]):
-        for (mu, k), m in entries.items():
-            if type(k) is not int or type(m) is not int or k < 0 or m <= 0:
-                raise DomainError(f"bad table entry ({mu}, {k}) -> {m}")
-        self._entries = dict(entries)
+    @staticmethod
+    def _check(key, m) -> None:
+        mu, k = key
+        if type(k) is not int or k < 0 or m <= 0:
+            raise DomainError(f"bad table entry ({mu}, {k}) -> {m}")
 
     def get(self, mu, k: int) -> int:
         return self.reader(mu)(k)
@@ -124,23 +100,8 @@ class MultiplicityTable:
     def reader(self, mu):
         """k -> the multiplicity of (mu, k), with mu's key made once."""
         mu_key = mu.to_ints() if isinstance(mu, Weight) else tuple(mu)
-        entries = self._entries
+        entries = self._data
         return lambda k: entries.get((mu_key, k), 0)
-
-    def items(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
-        return sorted(self._entries.items())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiplicityTable):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"({mu}, {k}): {m}" for (mu, k), m in self.items())
-        return "{" + inner + "}"
 
 
 def _ip2(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -262,7 +223,7 @@ def weight_multiplicities(algebra: Algebra, lam: Weight) -> CharacterMap:
     """Exact weight multiplicities of the irreducible with highest weight
     lam, by Freudenthal's recursion."""
     family, rank = _require_dominant_integral(algebra, lam)
-    return CharacterMap(dict(_char_items(family, rank, lam.coords2)))
+    return CharacterMap(_char_items(family, rank, lam.coords2))
 
 
 def weyl_dim(algebra: Algebra, lam: Weight) -> int:
@@ -286,11 +247,7 @@ def xi(algebra: Algebra, eta: Weight) -> CharacterMap:
     family, rank = _check_algebra(algebra)
     if eta.rank != rank:
         raise DomainError(f"weight rank {eta.rank} does not match algebra rank {rank}")
-    out: dict[tuple[int, ...], int] = {}
-    for w in weyl_elements(family, rank):
-        key = w.apply2(eta.coords2)
-        out[key] = out.get(key, 0) + w.sign
-    return CharacterMap(out)
+    return CharacterMap((w.apply2(eta.coords2), w.sign) for w in weyl_elements(family, rank))
 
 
 def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:

@@ -28,27 +28,24 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
-from .weights import FAMILY_B, BranchingQuery, Weight, check_pair, interlace
+from .weights import FAMILY_B, BranchingQuery, IntMap, Weight, check_pair, interlace
 
 
-class LaurentPoly:
+class LaurentPoly(IntMap):
     """Integer-coefficient Laurent polynomial in one variable, allowing
-    half-integer exponents (stored doubled).  Immutable; zero coefficients
-    are never stored."""
+    half-integer exponents (stored doubled): a map exponent -> coefficient."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _sep, _brackets, _empty = " + ", "{}", "0"
 
-    def __init__(self, coeffs=None):
-        data: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else (coeffs or ())
-        for e2, c in items:
-            if type(e2) is not int or type(c) is not int:
-                raise DomainError("exponents and coefficients must be integers")
-            if c:
-                data[e2] = data.get(e2, 0) + c
-                if not data[e2]:
-                    del data[e2]
-        self._coeffs = data
+    @staticmethod
+    def _check(e2, c) -> None:
+        if type(e2) is not int:
+            raise DomainError(f"exponent {e2!r} must be an integer")
+
+    @staticmethod
+    def _item(e2: int, c: int) -> str:
+        return f"{c}*x^{e2 // 2}" if e2 % 2 == 0 else f"{c}*x^{e2}/2"
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -63,49 +60,24 @@ class LaurentPoly:
         """coeff * x^(exp2/2)."""
         return cls({exp2: coeff})
 
-    def coeff(self, exp2: int) -> int:
-        return self._coeffs.get(exp2, 0)
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self._coeffs.items())
+    coeff = IntMap.get
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._data
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e2, c in other._coeffs.items():
-            out[e2] = out.get(e2, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly([*self._data.items(), *other._data.items()])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e2: -c for e2, c in self._coeffs.items()})
+        return LaurentPoly({e2: -c for e2, c in self._data.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e2, c in self._coeffs.items():
-            for f2, d in other._coeffs.items():
-                key = e2 + f2
-                out[key] = out.get(key, 0) + c * d
-        return LaurentPoly(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e2, c in self.items():
-            e = str(e2 // 2) if e2 % 2 == 0 else f"{e2}/2"
-            parts.append(f"{c}*x^{e}")
-        return " + ".join(parts)
+        return LaurentPoly([(e2 + f2, c * d) for e2, c in self._data.items()
+                            for f2, d in other._data.items()])
 
 
 def quantum_bracket(l: int) -> LaurentPoly:

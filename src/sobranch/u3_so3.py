@@ -162,7 +162,7 @@ def ending_B(lam: Weight, mu: Weight) -> So3MultiSet:
     coincide = all(l[i + 2] == m[i - 1] for i in range(1, n - 1))
     if not coincide or m[n - 2] > l[n]:
         raise CoincidencePatternError(lam, mu, FAMILY_B)
-    block = So3MultiSet({j: 1 for j in range(abs(m[n - 1]), m[n - 2] + 1)})
+    block = So3MultiSet.of_labels(range(abs(m[n - 1]), m[n - 2] + 1))
     return so3_tensor_decompose([u3_restriction(U3Weight(l[0], l[1], l[2])), block])
 
 

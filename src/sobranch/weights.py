@@ -22,7 +22,9 @@ SO(3) torus coordinate.
 ``check_pair`` is the package's one definition of a valid branching pair
 (family, n, lam, mu); every entry point that takes a pair calls it, directly
 or through ``interlace`` or ``BranchingQuery``, the one query type every
-route answers.
+route answers.  ``IntMap`` is the one map to non-zero integers that every
+route's container (Laurent series, characters, SO(3) multisets, branching
+tables) subclasses.
 """
 
 from __future__ import annotations
@@ -82,8 +84,11 @@ class Weight(namedtuple("Weight", "coords2")):
 
     @classmethod
     def of_ints(cls, coords: Iterable[int]) -> "Weight":
-        """Weight with the given integer coordinates."""
-        return cls(tuple(2 * int(c) for c in coords))
+        """Weight with the given integer coordinates, each a plain int."""
+        coords = tuple(coords)
+        if not _PLAIN_INT.issuperset(map(type, coords)):
+            raise DomainError("coordinates must be plain integers")
+        return tuple.__new__(cls, (tuple([2 * c for c in coords]),))
 
     @classmethod
     def basis(cls, rank: int, index: int) -> "Weight":
@@ -140,6 +145,63 @@ class Weight(namedtuple("Weight", "coords2")):
         for c in self.coords2:
             parts.append(str(c // 2) if c % 2 == 0 else f"{c}/2")
         return "(" + ", ".join(parts) + ")"
+
+
+class IntMap:
+    """Immutable finite map to non-zero plain integers, the one container
+    behind every route's sums and tables.
+
+    Built from a dict or from (key, value) pairs: every value must be a
+    plain int, a subclass's ``_check(key, value)`` runs on every pair given
+    and its ``_key`` puts each key in stored form, then values are summed
+    per key and zero sums dropped.  ``items()`` is sorted by key, the
+    length counts the keys (so an empty map is falsy), and two maps are
+    equal only if they have the same type and items.  The repr joins
+    ``_item(key, value)`` of each item with ``_sep`` inside ``_brackets``,
+    or is ``_empty``.
+    """
+
+    __slots__ = ("_data",)
+    _check = _key = None
+    _item = "{}: {}".format
+    _sep, _brackets, _empty = ", ", "{{{}}}", "{}"
+
+    def __init__(self, data=None) -> None:
+        out: dict = {}
+        check, key_form = self._check, self._key
+        for key, value in data.items() if isinstance(data, dict) else (data or ()):
+            if type(value) is not int:
+                raise DomainError(f"{type(self).__name__} value {value!r} must be a plain integer")
+            if check is not None:
+                check(key, value)
+            if value:
+                if key_form is not None:
+                    key = key_form(key)
+                total = out.get(key, 0) + value
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        self._data = out
+
+    def get(self, key) -> int:
+        return self._data.get(key, 0)
+
+    def items(self) -> list:
+        return sorted(self._data.items())
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._data == other._data
+
+    def __repr__(self) -> str:
+        if not self._data:
+            return self._empty
+        return self._brackets.format(self._sep.join([self._item(k, v) for k, v in self.items()]))
 
 
 #: inversion parities kept: 8! = 40,320, every permutation of one rank-8
@@ -413,13 +475,20 @@ class BranchingQuery(namedtuple("BranchingQuery", "family n lam mu k")):
         return cls(*fields)
 
     def normalized(self) -> "BranchingQuery":
-        """Tilde-normalize: last coordinate of mu (family B) or lam (family D)
-        made non-negative.  Multiplicities are invariant under this."""
-        if self.family == FAMILY_B and self.mu.coords2[-1] < 0:
-            return self._replace(mu=tilde(FAMILY_B, self.mu))
-        if self.family == FAMILY_D and self.lam.coords2[-1] < 0:
-            return self._replace(lam=tilde(FAMILY_D, self.lam))
-        return self
+        """The query of the tilde-normalized pair (``normalize_pair``)."""
+        lam, mu = normalize_pair(self.family, self.lam, self.mu)
+        return self if lam is self.lam and mu is self.mu else self._replace(lam=lam, mu=mu)
+
+
+def normalize_pair(family: str, lam: Weight, mu: Weight) -> tuple[Weight, Weight]:
+    """Tilde-normalize a pair: the last coordinate of mu (family B) or of lam
+    (family D) made non-negative.  Multiplicities are invariant under this;
+    a pair already normal comes back as the same objects."""
+    if family == FAMILY_B and mu.coords2[-1] < 0:
+        return lam, tilde(FAMILY_B, mu)
+    if family == FAMILY_D and lam.coords2[-1] < 0:
+        return tilde(FAMILY_D, lam), mu
+    return lam, mu
 
 
 def restrict(family: str, w: Weight) -> Weight:

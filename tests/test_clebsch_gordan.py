@@ -29,6 +29,10 @@ def test_multiset_basics():
         So3MultiSet({True: 1})
     with pytest.raises(DomainError):
         So3MultiSet({1: True})
+    # one tau_k per label given: the ladders and blocks of the closed forms
+    assert So3MultiSet.of_labels(range(4, -1, -2)) == So3MultiSet({0: 1, 2: 1, 4: 1})
+    assert So3MultiSet.of_labels([1, 1]) == So3MultiSet({1: 2})
+    assert not So3MultiSet.of_labels(range(3, 2))
 
 
 def test_su2_tensor_multiplicity_examples():

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sobranch.clebsch_gordan import So3MultiSet
 from sobranch.errors import DomainError
+from sobranch.oracle import CharacterMap, MultiplicityTable
+from sobranch.tsukamoto import LaurentPoly
 from sobranch.u3_so3 import U3Weight
 from sobranch.weights import (
     BranchingQuery,
+    IntMap,
     SignedPermutation,
     algebra_positive_roots,
     algebra_rho,
@@ -18,6 +22,7 @@ from sobranch.weights import (
     is_dominant,
     iter_dominant_weights,
     make_root_data,
+    normalize_pair,
     restrict,
     sign_patterns,
     tilde,
@@ -41,6 +46,11 @@ def test_weight_storage_and_arithmetic():
         a + w([1, 1])
     with pytest.raises(DomainError):
         a.shift_last(1).to_ints()
+    # of_ints takes plain integers only, as the constructor does: no
+    # truncated float, no bool read as 1, no parsed string
+    for coords in ((1.5, 0, 0), (True, 0), ("2",)):
+        with pytest.raises(DomainError):
+            w(coords)
 
 
 def test_root_data_family_B():
@@ -340,3 +350,41 @@ def test_normalized_returns_a_query():
     ):
         got = BranchingQuery(*fields).normalized()
         assert type(got) is BranchingQuery and got == BranchingQuery(*want)
+        family, _, lam, mu, _ = fields
+        assert normalize_pair(family, lam, mu) == (got.lam, got.mu)
+
+
+#: one value of each container on IntMap, with its pinned repr
+INT_MAPS = [
+    pytest.param(So3MultiSet({1: 2, 0: 1}), "{tau_0: 1, tau_1: 2}", id="So3MultiSet"),
+    pytest.param(LaurentPoly({4: 1, 1: 2, -3: -1}), "-1*x^-3/2 + 2*x^1/2 + 1*x^2",
+                 id="LaurentPoly"),
+    pytest.param(LaurentPoly(), "0", id="LaurentPoly-zero"),
+    pytest.param(CharacterMap({(1, -1): 2, (0, 0): -1}), "{(0, 0): -1, (1/2, -1/2): 2}",
+                 id="CharacterMap"),
+    pytest.param(MultiplicityTable({((1, 0), 0): 1, ((0, 0), 2): 3}),
+                 "{((0, 0), 2): 3, ((1, 0), 0): 1}", id="MultiplicityTable"),
+]
+
+
+@pytest.mark.parametrize("value, text", INT_MAPS)
+def test_every_container_is_an_int_map_value(value, text):
+    """Copies and pickles equal the original, equality needs the same type
+    as well as the same items, and the repr is pinned."""
+    assert isinstance(value, IntMap) and repr(value) == text
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value) and other == value and repr(other) == text
+    assert value != IntMap(value._data) and IntMap(value._data) != value
+    assert bool(value) == (len(value) > 0) == (text != "0")
+
+
+def test_int_maps_hold_plain_integers():
+    assert So3MultiSet({0: 1}) != LaurentPoly({0: 1})
+    assert LaurentPoly({0: 1}) != So3MultiSet({0: 1})
+    # a character's values are exact integers, as every other container's
+    for value in (0.5, True):
+        with pytest.raises(DomainError):
+            CharacterMap({(1,): value})
+    # the zero series is falsy, as an empty map of every other container is
+    assert not LaurentPoly() and not LaurentPoly({1: 1}) - LaurentPoly({1: 1})
+    assert LaurentPoly({1: 2, 3: 0}).get(1) == 2 and len(LaurentPoly({1: 2, 3: 0})) == 1
