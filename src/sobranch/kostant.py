@@ -26,15 +26,17 @@ repeated work:
   permutations: 4 terms for lam = (9, ..., 9) and mu = (9, ..., 9) at
   family D, n = 7, where 725,760 points are >= 0 on the head.
 * Bound evaluator.  Both paths count with sigma's ``PartitionFunction``:
-  its generators are validated and sorted, and phi and the support found,
-  once per root system (``_sigma``), not once per pair or partition count.
+  its generators are validated and sorted once per root system
+  (``_sigma``), and the row plan (head functional psi and the per-index
+  zero tests) is built on its first row, not once per pair or row.
 * Whole row.  ``_pair_terms`` binds the terms of one (lam, mu) pair for
   every k into a small LRU: its placement, and per kept head sigma's
   ``PartitionFunction.row`` of the head target p_head - mu, the counts by
   last coordinate, shared by the last slot's two signs.  ``kostant_terms``
   then reads each term at k as one row lookup at p_last - 2k; a row is 0
-  past its span, so the walk needs no cut-off by phi.  A verify sweep asks
-  for every k of a pair back to back, so each pair is bound once.
+  past its span, so the walk needs no cut-off by a functional.  A verify
+  sweep asks for every k of a pair back to back, so each pair is bound
+  once.
 
 The reduced sum keeps no pairs of its own: all its terms share one head
 target, so ``reduced_pair`` binds one row per call and returns the reader

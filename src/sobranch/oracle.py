@@ -121,7 +121,7 @@ def _dominant_rep2(family: str, t2: tuple[int, ...]) -> tuple[int, ...]:
 
 def _in_positive_root_span(family: str, d: tuple[int, ...]) -> bool:
     """Whether an integer vector is a non-negative integer combination of the
-    simple roots of B_r / D_r."""
+    simple roots of B_r / D_r (r >= 2 for D, as every root system here)."""
     r = len(d)
     prefix = []
     s = 0
@@ -130,8 +130,6 @@ def _in_positive_root_span(family: str, d: tuple[int, ...]) -> bool:
         prefix.append(s)
     if family == FAMILY_B:
         return all(x >= 0 for x in prefix)
-    if r < 2:
-        return d[0] == 0
     if any(prefix[j] < 0 for j in range(r - 2)):
         return False
     s_r = prefix[-1]

@@ -1,46 +1,33 @@
 """Exact evaluation of Kostant vector partition functions.
 
-``count_vector_partitions`` counts, for a multiset of generator weights, the
-ways to write a target as a sum of generators with non-negative integer
-multiplicities (duplicate generators count as distinct).  It is a plain
-recursion over the generator list memoized on (generator index, residual
-target); termination is guaranteed by pruning against an integer linear
-functional phi that is strictly positive on every generator, which exists
-exactly when the generators span a pointed cone.
-
-Two zero tests, both read off the generators alone, cut the recursion:
-
-* Negative functional.  A residual with phi . t < 0 has no partition.
-* Sign support.  A residual that is negative on a coordinate where every
-  generator still to be taken is >= 0 has no partition.  ``support`` lists
-  those coordinates for the whole multiset.  Per generator index the list
-  grows as the remaining suffix of the sorted generators shrinks; a residual
-  negative on one of them counts 0 without a memo entry, and the loop over
-  one generator's multiplicity stops as soon as its residual turns negative
-  on one of them, since taking more of that generator can only lower the
-  coordinate further.
+A partition count of a target over a multiset of generator weights is the
+number of ways to write the target as a sum of generators with non-negative
+integer multiplicities (duplicate generators count as distinct).  It is
+finite exactly when the generators span a pointed cone.
 
 ``partition_function`` binds a generator multiset once: it validates the
-generators, sorts them, finds phi, the per-generator steps phi . g and the
-sign-support coordinates, and names the multiset's memo entries by a small
-integer.  The recursion carries phi . target down and subtracts phi . g per
-generator taken instead of recomputing the dot product at every node.
-``count_vector_partitions`` validates its target and counts with the
-binding of its generators.
+generators, refuses a cone that is not pointed, sorts them and names the
+multiset's memo entries by a small integer.
 
-Whole row.  ``PartitionFunction.row(head)`` counts every target (head, last)
-at once and returns the counts by last coordinate.  It is a memo DP over
-(generator index, head residual) whose entries are histograms last -> count,
-pruned like the scalar count: a head functional psi, positive on every
-non-zero head projection, bounds the residual, and a residual negative on a
-coordinate where every remaining generator is >= 0, or non-zero on one where
-every remaining generator is 0, has an empty histogram.  A generator whose
-head projection is zero does not enter the DP; it is applied afterwards as a
-1-D count over the last coordinate.  The one such generator in use, family
-D's -e_last, has a negative last coordinate, so the count is a same-parity
+Rows are the one evaluator.  ``PartitionFunction.row(head)`` counts every
+target (head, last) at once and returns the counts by last coordinate.  It
+is a memo DP over (generator index, head residual) whose entries are
+histograms last -> count.  Two zero tests, read off the generators alone,
+prune it: a head functional psi, positive on every non-zero head
+projection, bounds the residual (psi . head drops by psi . g per generator
+taken and may not go negative), and a residual negative on a coordinate
+where every remaining generator is >= 0, or non-zero on one where every
+remaining generator is 0, has an empty histogram.  A generator whose head
+projection is zero does not enter the DP; it is applied afterwards as a 1-D
+count over the last coordinate.  The one such generator in use, family D's
+-e_last, has a negative last coordinate, so the count is a same-parity
 suffix sum; ``row`` refuses a zero-head generator with a positive one.
 Rows and their histograms live in the shared cache under the binding's
 namespace, each weighing its number of cells against the cache's cap.
+
+``count_vector_partitions`` counts one target: it validates the target,
+appends a zero last coordinate to every generator, and reads the count at
+last coordinate 0 off the row whose head is the whole target.
 
 ``count_sigma_prime`` is an independent specialized routine for the paired
 generator family e_i +- e_last: a balance-tracking dynamic program over the
@@ -68,14 +55,14 @@ _BOUND_FUNCTIONS = 16
 
 
 class PartitionCache:
-    """Bounded memo for partition counts.
+    """Bounded memo for partition rows.
 
-    Entries are pure facts, (index, residual) -> count or -> a row's
+    Entries are pure facts, a head -> its row or (index, residual) -> a
     histogram, so the cache never changes results.  The cap
-    ``max_entries`` counts cells: a count is one, a histogram one per last
-    coordinate it holds, so it bounds memory whatever the mix.  An insert
-    that would pass the cap evicts the whole cache first, and a value
-    heavier than the cap on its own is not kept at all.  A lock guards
+    ``max_entries`` counts cells, one per last coordinate a row or
+    histogram holds (at least one), so it bounds memory whatever the mix.
+    An insert that would pass the cap evicts the whole cache first, and a
+    value heavier than the cap on its own is not kept at all.  A lock guards
     lookups and inserts so the cache may be shared across threads.
     """
 
@@ -151,72 +138,28 @@ _namespaces = itertools.count()
 class PartitionFunction:
     """The partition function of one generator multiset, bound once.
 
-    Holds the sorted doubled-integer generators, the positive functional
-    ``phi``, the per-generator steps ``phi . g`` and the sign-support
-    coordinates, so a count does none of that work again.  Build one with
-    ``partition_function``.
+    Holds the sorted doubled-integer generators and, built on the first
+    ``row``, the plan every row DP of the multiset reads, so a row does none
+    of that work again.  Build one with ``partition_function``.
     """
 
-    __slots__ = ("gens2", "phi", "steps", "rank", "support", "_stops", "_ns", "_row_plan")
+    __slots__ = ("gens2", "rank", "_ns", "_row_plan")
 
     def __init__(self, gens2: tuple[tuple[int, ...], ...]):
+        _positive_functional(gens2)  # refuses a cone that is not pointed
         self.gens2 = gens2
-        self.phi = _positive_functional(gens2)
-        self.steps = tuple(_dot(self.phi, g) for g in gens2)
         self.rank = len(gens2[0])
-        # _stops[i]: the coordinates on which every generator from index i on
-        # is >= 0; a residual negative on one of them has no partition
-        self._stops = tuple(
-            tuple(c for c in range(self.rank) if all(g[c] >= 0 for g in gens2[i:]))
-            for i in range(len(gens2))
-        )
-        #: the coordinates on which every generator is >= 0
-        self.support = self._stops[0]
         self._ns = next(_namespaces)
         self._row_plan = None
 
-    def count(self, t2: tuple[int, ...]) -> int:
-        """Partition count of the integral doubled-integer target ``t2``."""
-        level = _dot(self.phi, t2)
-        if level < 0:
-            return 0
-        return self._count(0, t2, level)
-
-    def _count(self, index: int, t2: tuple[int, ...], level: int) -> int:
-        # level is phi . t2 >= 0; it drops by steps[index] per generator taken
-        gens2 = self.gens2
-        if index == len(gens2):
-            return 0 if any(t2) else 1
-        key = (self._ns, index, t2)
-        hit = _shared_cache.get(key)
-        if hit is not None:
-            return hit
-        # after the memo lookup, so a hit pays for no sign test
-        stops = self._stops[index]
-        if any(t2[c] < 0 for c in stops):
-            return 0
-        g = gens2[index]
-        step = self.steps[index]
-        total = 0
-        while True:
-            total += self._count(index + 1, t2, level)
-            t2 = tuple(a - b for a, b in zip(t2, g))
-            level -= step
-            if level < 0 or any(t2[c] < 0 for c in stops):
-                break
-        _shared_cache.put(key, total)
-        return total
-
     def row(self, head: tuple[int, ...]) -> "Row":
         """The partition counts of the doubled-integer targets (head, last)
-        for every last, as a ``Row``: ``row(head)[last] == count(head +
-        (last,))``.  Raises DomainError where the non-zero head projections
-        of the generators do not span a pointed cone, or where more than one
-        generator, or one with a positive last coordinate, has a zero head
-        projection."""
+        for every last, as a ``Row``: ``row(head)[last]`` is the count of
+        ``head + (last,)``.  Raises DomainError where the non-zero head
+        projections of the generators do not span a pointed cone, or where
+        more than one generator, or one with a positive last coordinate, has
+        a zero head projection."""
         _, psi, _, _, _, zero_step = self._row_plan or self._plan_rows()
-        # a head is one coordinate shorter than a count's target, so head
-        # entries never share a key with count entries
         key = (self._ns, -1, head)
         row = _shared_cache.get(key)
         if row is None:
@@ -364,7 +307,10 @@ def count_vector_partitions(generators: Iterable[Weight], target: Weight) -> int
         return 0
     if not generators:
         return 1 if not any(target.coords2) else 0
-    return partition_function(generators).count(target.coords2)
+    # a zero last coordinate appended: every generator keeps a non-zero head,
+    # and the heads span a pointed cone exactly when the generators do
+    bound = partition_function(Weight(g.coords2 + (0,)) for g in generators)
+    return bound.row(target.coords2)[0]
 
 
 def count_sigma_prime(n: int, target: Weight) -> int:

@@ -171,9 +171,11 @@ def _bracket_product(l2s: tuple[int, ...]) -> tuple[int, ...]:
 
 def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> LaurentPoly:
     """Sum over admissible tuples of prod_i [l_i] times the final two-term
-    factor x^(l/2) - x^(-l/2).  Returns the zero polynomial when triple
-    interlacing fails, in which case no SO(3) component occurs at all;
-    ``interlace`` rejects an invalid pair with DomainError."""
+    factor x^(l/2) - x^(-l/2); the zero polynomial where there is no
+    admissible tuple.  Off the vanishing pattern (triple interlacing) the
+    a-tuple boxes are empty, so there the zero is returned without
+    enumerating them, which is cheaper; ``interlace`` rejects an invalid
+    pair with DomainError."""
     if not interlace("triple", family, lam, mu):
         return LaurentPoly.zero()
     total: dict[int, int] = {}

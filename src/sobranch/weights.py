@@ -158,7 +158,8 @@ class IntMap:
     length counts the keys (so an empty map is falsy), and two maps are
     equal only if they have the same type and items.  The repr joins
     ``_item(key, value)`` of each item with ``_sep`` inside ``_brackets``,
-    or is ``_empty``.
+    or is ``_empty``.  Copies and pickles are rebuilt through ``__init__``,
+    so they pass the same checks.
     """
 
     __slots__ = ("_data",)
@@ -202,6 +203,9 @@ class IntMap:
         if not self._data:
             return self._empty
         return self._brackets.format(self._sep.join([self._item(k, v) for k, v in self.items()]))
+
+    def __reduce__(self):
+        return type(self), (self._data,)
 
 
 #: inversion parities kept: 8! = 40,320, every permutation of one rank-8

@@ -1,7 +1,8 @@
 """The routes stay independent: each module imports only the shared base
-(weights, partition, errors) it is allowed, never another route.  Every
-memo in the package is bounded, and every value type is a validated named
-tuple: no module imports dataclasses."""
+(weights, partition, errors) it is allowed, never another route, and no
+module imports the tests' references.  Every memo in the package is
+bounded, and every value type is a validated named tuple: no module imports
+dataclasses."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,38 @@ def relative_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_its_allowed_layers(module):
     assert relative_imports(module) <= ALLOWED[module], module
+
+
+#: what an absolute import of the tests names: the package, or one of its
+#: modules on the path pytest gives them
+TEST_MODULES = {"tests"} | {path.stem for path in Path(__file__).resolve().parent.glob("*.py")}
+
+
+def absolute_imports(source: str) -> set[str]:
+    """The top-level names of every absolute import in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_the_tests(path):
+    assert absolute_imports(path.read_text()).isdisjoint(TEST_MODULES)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from partition_reference import ScalarPartitionFunction\n", True),
+    ("import tests.partition_reference as reference\n", True),
+    ("def f():\n    import conftest\n", True),
+    ("from .partition import partition_function\n", False),
+    ("import itertools\n", False),
+])
+def test_test_import_scan_flags_every_form(source, flagged):
+    assert (not absolute_imports(source).isdisjoint(TEST_MODULES)) == flagged
 
 
 CACHES = {"lru_cache", "cache"}

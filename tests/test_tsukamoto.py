@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sobranch import cli, tsukamoto
+from sobranch import cli, tsukamoto, weights
 from sobranch.errors import DomainError, MalformedSeriesError
 from sobranch.kostant import BranchingQuery, multiplicity_kostant_full
 from sobranch.tsukamoto import (
@@ -15,7 +15,7 @@ from sobranch.tsukamoto import (
     quantum_bracket,
     tsukamoto_generating_function,
 )
-from sobranch.weights import Weight, interlace, iter_dominant_weights, tilde
+from sobranch.weights import Weight, interlace, iter_dominant_weights, make_root_data, tilde
 
 w = Weight.of_ints
 
@@ -95,6 +95,24 @@ def test_atuple_bracket_arguments_positive():
                 for at in enumerate_atuples(family, lam, mu):
                     assert all(v >= 2 and v % 2 == 0 for v in at.l2[:-1])
                     assert at.l2[-1] >= 1 and at.l2[-1] % 2 == 1
+
+
+@pytest.mark.parametrize("family, n, bound", [
+    ("B", 2, 3), ("B", 3, 3), ("B", 4, 2), ("B", 5, 2),
+    ("D", 1, 3), ("D", 2, 3), ("D", 3, 3), ("D", 4, 2),
+])
+def test_no_atuple_off_the_triple_pattern(family, n, bound):
+    # the series decides its own zeros: off the vanishing pattern the
+    # a-tuple boxes are empty, so no interlacing test is needed to skip them
+    rank = make_root_data(family, n).g_rank
+    mus = list(iter_dominant_weights(weights.k_family(family), n, bound))
+    off = 0
+    for lam in iter_dominant_weights(family, rank, bound):
+        for mu in mus:
+            if not interlace("triple", family, lam, mu):
+                off += 1
+                assert enumerate_atuples(family, lam, mu) == (), (lam, mu)
+    assert off > 0
 
 
 def test_generating_function_examples():

@@ -378,6 +378,16 @@ def test_every_container_is_an_int_map_value(value, text):
     assert bool(value) == (len(value) > 0) == (text != "0")
 
 
+def test_unpickling_a_container_runs_its_checks():
+    forged = So3MultiSet()
+    forged._data = {-1: -2}  # a negative label and multiplicity, past __init__
+    data = pickle.dumps(forged)
+    with pytest.raises(DomainError):
+        pickle.loads(data)
+    with pytest.raises(DomainError):
+        copy.copy(forged)
+
+
 def test_int_maps_hold_plain_integers():
     assert So3MultiSet({0: 1}) != LaurentPoly({0: 1})
     assert LaurentPoly({0: 1}) != So3MultiSet({0: 1})
