@@ -8,12 +8,13 @@ Subcommands: ``mult`` (per-method multiplicities for one query),
 ``_walk`` is the one walk over grid points, answering through the method
 registry ``METHODS``: ``verify`` and the cross-route test sweeps walk a
 verify grid (``sweep``), ``decompose`` one lam.  Each method is resolved
-once per (lam, mu) pair to a reader of k, kept for the current lam only; a
-grid point then costs one lookup and one read per method.  A pair is
-validated once, where it enters: the walk's pairs are valid by construction
-(``iter_dominant_weights`` makes the verify grid and every mu of
-``decompose``, whose lam ``check_pair`` tests first), and ``mult`` builds
-its one ``BranchingQuery`` up front.
+once per (lam, mu) pair to a reader of k, kept in the method's slot for
+the current pair; a grid point then costs one slot lookup and one read per
+method.  A pair is validated once, where it enters: the walk's pairs are
+valid by construction (``iter_dominant_weights`` makes the verify grid and
+every mu of ``decompose``, whose lam ``check_pair`` tests first), ``mult``
+builds its one ``BranchingQuery`` up front, and the routes that answer
+queries derive each k's from their pair's (``BranchingQuery.with_k``).
 
 Exit codes: 0 success/agreement, 1 divergence between methods, 2 usage
 error.  Reports go to stdout, diagnostics to stderr.  The environment
@@ -49,14 +50,14 @@ from .weights import (
 )
 
 USAGE_ERROR = 2
-_MISSING = object()
 
 
 def _oracle(family: str, n: int, lam: Weight, mu: Weight, tables: dict):
-    """Reader of the oracle's table of lam, built once per lam."""
-    table = tables.get("oracle")
+    """Reader of the oracle's table of lam, built once per lam and kept under
+    a key of its own, apart from the methods' slots."""
+    table = tables.get("oracle table")
     if table is None:
-        table = tables["oracle"] = branch_oracle(family, n, lam)
+        table = tables["oracle table"] = branch_oracle(family, n, lam)
     return table.reader(mu)
 
 
@@ -65,20 +66,21 @@ def _oracle(family: str, n: int, lam: Weight, mu: Weight, tables: dict):
 # the pair is bound: a PreconditionError from the entry means n/a for every k,
 # and no reader raises one.  Closed-form and ending read the pair's SO(3)
 # multiset, the oracle its table of lam, kostant-reduced the pair's row;
-# tsukamoto and kostant-full make one query per k.  The entries look the
-# library functions up in this module's globals at call time, so code that
-# rebinds one of them here (a tracer, a fault injection) sees every call.
+# tsukamoto and kostant-full build one query per pair, bound as their reader's
+# default argument ``at``, and derive one per k.  The entries look the library
+# functions up in this module's globals at call time, so code that rebinds one
+# of them here (a tracer, a fault injection) sees every call.
 METHODS = {
     "closed-form": lambda family, n, lam, mu, tables: (
         closed_form_B(lam, mu) if family == FAMILY_B else closed_form_D(lam, mu)).mult,
     "ending": lambda family, n, lam, mu, tables: (
         ending_B(lam, mu) if family == FAMILY_B else ending_D(lam, mu)).mult,
-    "kostant-full": lambda family, n, lam, mu, tables: lambda k: multiplicity_kostant_full(
-        BranchingQuery(family, n, lam, mu, k)),
+    "kostant-full": lambda family, n, lam, mu, tables: (
+        lambda k, at=BranchingQuery(family, n, lam, mu, 0).with_k: multiplicity_kostant_full(at(k))),
     "kostant-reduced": lambda family, n, lam, mu, tables: reduced_pair(family, n, lam, mu),
     "oracle": _oracle,
-    "tsukamoto": lambda family, n, lam, mu, tables: lambda k: multiplicity_tsukamoto(
-        BranchingQuery(family, n, lam, mu, k)),
+    "tsukamoto": lambda family, n, lam, mu, tables: (
+        lambda k, at=BranchingQuery(family, n, lam, mu, 0).with_k: multiplicity_tsukamoto(at(k))),
 }
 
 
@@ -106,15 +108,17 @@ def _methods(text: str) -> tuple[str, ...]:
 def _method_value(
     method: str, family: str, n: int, lam: Weight, mu: Weight, k: int, tables: dict
 ) -> int | None:
-    """One method's answer, or None where it does not apply.  Its reader of (lam, mu),
-    or None, is kept in the per-lam tables from the pair's first point; the pair arrives valid."""
-    read = tables.get((method, mu), _MISSING)
-    if read is _MISSING:
+    """One method's answer, or None where it does not apply.  The per-lam tables
+    hold one slot per method, (mu, its reader or None) of the pair it bound
+    last, so every later point of the pair reads the slot; the pair arrives valid."""
+    slot = tables.get(method)
+    if slot is None or slot[0] != mu:
         try:
             read = METHODS[method](family, n, lam, mu, tables)
         except PreconditionError:
             read = None
-        tables[method, mu] = read
+        slot = tables[method] = (mu, read)
+    read = slot[1]
     return None if read is None else read(k)
 
 
@@ -176,8 +180,8 @@ def _walk(family: str, n: int, lams: Iterable[Weight], mus: list[Weight], method
     """Yield (lam, mu, k, {method: value or None}) for every lam of ``lams``,
     mu of ``mus`` and k up to the coordinate sum of lam, lam-major, with one
     ``_method_value`` call per (point, method).  The tables are new for each
-    lam: no table key spans two lams, so this loses no reuse and holds one
-    lam's."""
+    lam: no slot or oracle table spans two lams, so this loses no reuse and
+    holds one pair's readers and one lam's table."""
     for lam in lams:
         tables: dict = {}
         k_top = sum(abs(c) for c in lam.to_ints())
@@ -206,9 +210,9 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     unchecked = 0
     for lam, mu, k, values in sweep(args.family, args.n, args.max, args.methods):
         report["points"] += 1
-        found = [*values.values()]
-        unchecked += len(found) - found.count(None) < 2
-        if len(set(found) - {None}) > 1:
+        found = [value for value in values.values() if value is not None]
+        unchecked += len(found) < 2
+        if found and found.count(found[0]) < len(found):
             report["divergence"] = {"lambda": list(lam.to_ints()), "mu": list(mu.to_ints()),
                                     "k": k, "values": values}
             break

@@ -41,7 +41,7 @@ repeated work:
 The reduced sum keeps no pairs of its own: all its terms share one head
 target, so ``reduced_pair`` binds one row per call and returns the reader
 of k, and a caller that asks for every k of a pair (the verify walk's
-per-lam tables) keeps that reader.  A pair that does not simply interlace
+slot for the method) keeps that reader.  A pair that does not simply interlace
 raises InterlacingError at the bind.  Both paths count partitions only
 through rows.
 """
@@ -225,7 +225,9 @@ def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
     row = _sigma(family, n).row(tuple(head))
 
     def read(k: int) -> int:
-        total = sum(sign * row[last + step * k] for sign, last, step in terms)
+        total = 0
+        for sign, last, step in terms:
+            total += sign * row[last + step * k]
         if total < 0:
             raise InternalInconsistencyError(
                 f"negative reduced sum {total} for {BranchingQuery(family, n, lam, mu, k)}"

@@ -334,6 +334,37 @@ def test_verify_builds_each_family_D_series_once(capsys, monkeypatch, n, points)
                      "reduced_pair": len(pairs), "tsukamoto_generating_function": len(pairs)}
 
 
+def test_verify_builds_one_query_per_pair_and_reads_one_per_point(capsys, monkeypatch):
+    # tsukamoto and kostant-full check a pair once, building its query when
+    # they bind it, and derive each k's query from it; they still answer
+    # through one multiplicity_tsukamoto or multiplicity_kostant_full call
+    # per grid point, looked up in cli at each read
+    calls = count_calls(monkeypatch, (cli, "BranchingQuery"), (cli, "multiplicity_tsukamoto"),
+                        (cli, "multiplicity_kostant_full"))
+    argv = ("verify", "--family", "D", "--n", "1", "--max", "2",
+            "--methods", "kostant-full,tsukamoto", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    points = json.loads(out)["points"]
+    pairs = {(lam, mu) for lam, mu, _, _ in cli.sweep("D", 1, 2, ())}
+    assert code == 0 and points > len(pairs) > 1
+    assert calls == {"BranchingQuery": 2 * len(pairs), "multiplicity_tsukamoto": points,
+                     "multiplicity_kostant_full": points}
+    # a wrong answer on one call, inside a pair, fails the sweep at its point
+    answer, seen = cli.multiplicity_tsukamoto, []
+
+    def wrong_on_the_40th(q):
+        seen.append(q)
+        return answer(q) + (len(seen) == 40)
+
+    monkeypatch.setattr(cli, "multiplicity_tsukamoto", wrong_on_the_40th)
+    code, out, _ = run(capsys, *argv)
+    divergence = json.loads(out)["divergence"]
+    q = seen[39]
+    assert code == 1 and len(seen) == 40 and q.k > 0
+    assert (divergence["lambda"], divergence["mu"], divergence["k"]) == (
+        list(q.lam.to_ints()), list(q.mu.to_ints()), q.k)
+
+
 def test_verify_tables_hold_one_lam(capsys, monkeypatch):
     # a lam's tables are empty at its first point and serve every point of
     # it, and no two lams share tables: no entry outlives its lam

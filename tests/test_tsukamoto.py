@@ -41,6 +41,10 @@ def test_laurent_basics():
         LaurentPoly({True: 1})
     with pytest.raises(DomainError):
         LaurentPoly({0: True})
+    # the exponents are checked in one pass, and the first bad one is named
+    for bad in ({0: 1, 0.5: 1, 1.5: 1}, [(0, 1), (0.5, 1), (1.5, 1)]):
+        with pytest.raises(DomainError, match=r"^exponent 0\.5 must be an integer$"):
+            LaurentPoly(bad)
 
 
 poly_strategy = st.lists(
@@ -113,6 +117,15 @@ def test_no_atuple_off_the_triple_pattern(family, n, bound):
                 off += 1
                 assert enumerate_atuples(family, lam, mu) == (), (lam, mu)
     assert off > 0
+
+
+def test_an_empty_box_gives_no_tuple_at_once():
+    # every weakly decreasing tuple in the boxes, and none where any box is
+    # empty, the last one included
+    boxes = tsukamoto._boxes_to_tuples
+    assert boxes((0, 0), (2, 1)) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert boxes((0, 0, 5), (9, 9, 4)) == [] and boxes((3, 0), (2, 9)) == []
+    assert boxes((), ()) == [()]
 
 
 def test_generating_function_examples():

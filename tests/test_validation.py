@@ -30,6 +30,35 @@ BAD_PAIRS = [
     ("half-integral-D", "D", 2, Weight((1, 1, 1, 1)), Weight((1, 1)), True),
 ]
 
+#: check_pair's message for each row of BAD_PAIRS, and for pairs with two
+#: faults, the first in check_pair's order: family and n, rank of mu, rank of
+#: lam, integrality, dominance of lam, dominance of mu
+MESSAGES = {
+    "unknown-family": "unknown family 'C'; expected 'B' or 'D'",
+    "n-below-minimum-B": "family B requires n >= 2, got n=1",
+    "n-below-minimum-D": "family D requires n >= 1, got n=0",
+    "lam-rank-B": "lam must have rank 3, got 2",
+    "lam-rank-D": "lam must have rank 3, got 4",
+    "mu-rank-B": "mu must have rank 2, got 3",
+    "mu-rank-D": "mu must have rank 2, got 1",
+    "non-dominant-lam-B": "lam=(0, 1, 0) is not dominant (family B)",
+    "non-dominant-lam-D": "lam=(1, 1, 1, -2) is not dominant (family D)",
+    "non-dominant-mu-B": "mu=(0, 1) is not dominant (family B)",
+    "non-dominant-mu-D": "mu=(1, -1) is not dominant (family D)",
+    "half-integral-lam-B": "highest weights must have integral coordinates",
+    "half-integral-D": "highest weights must have integral coordinates",
+}
+TWO_FAULTS = [
+    ("C", 1, w([0, 1]), Weight((1,)), "unknown family 'C'; expected 'B' or 'D'"),
+    ("B", True, w([1, 0, 0]), w([0, 0]), "n must be an integer, got True"),
+    ("D", 1, w([1, 0]), w([0, 0]), "mu must have rank 1, got 2"),
+    ("B", 2, Weight((1, 1)), w([0, 0]), "lam must have rank 3, got 2"),
+    ("B", 2, w([0, 1, 0]), Weight((1, 1)), "highest weights must have integral coordinates"),
+    ("D", 2, w([1, 1, 1, -2]), Weight((1, -1)), "highest weights must have integral coordinates"),
+    ("B", 2, w([0, 1, 0]), w([0, 1]), "lam=(0, 1, 0) is not dominant (family B)"),
+    ("D", 2, w([1, 1, 1, -2]), w([1, -1]), "lam=(1, 1, 1, -2) is not dominant (family D)"),
+]
+
 CLOSED_FORM = {"B": closed_form_B, "D": closed_form_D}
 ENDING = {"B": ending_B, "D": ending_D}
 
@@ -58,6 +87,15 @@ def test_every_pair_entry_rejects_an_invalid_pair(entry, family, n, lam, mu):
     call = ENTRIES[entry][0]
     with pytest.raises(DomainError):
         call(family, n, lam, mu)
+
+
+def test_check_pair_names_the_first_fault():
+    cases = [(*row[1:5], MESSAGES[row[0]]) for row in BAD_PAIRS] + TWO_FAULTS
+    assert len(cases) == len(MESSAGES) + len(TWO_FAULTS)
+    for family, n, lam, mu, message in cases:
+        with pytest.raises(DomainError) as raised:
+            check_pair(family, n, lam, mu)
+        assert str(raised.value) == message
 
 
 def test_an_invalid_pair_raises_on_every_call():

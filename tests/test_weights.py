@@ -354,6 +354,26 @@ def test_normalized_returns_a_query():
         assert normalize_pair(family, lam, mu) == (got.lam, got.mu)
 
 
+def test_a_query_derived_per_k_is_a_full_query():
+    # with_k checks only k: the query it derives equals, hashes, prints,
+    # copies and pickles like one built from its fields, and a bad k raises
+    # the constructor's message
+    pair = VALID_QUERY[:4]
+    base = BranchingQuery(*pair, 0)
+    for k in (0, 1, 7):
+        derived, built = base.with_k(k), BranchingQuery(*pair, k)
+        assert type(derived) is BranchingQuery and derived == built
+        assert hash(derived) == hash(built) and repr(derived) == repr(built)
+        for other in (copy.copy(derived), pickle.loads(pickle.dumps(derived))):
+            assert type(other) is BranchingQuery and other == built
+    for k, message in ((True, "k must be an integer, got True"),
+                       (1.5, "k must be an integer, got 1.5"), (-1, "k must be non-negative")):
+        for make in (base.with_k, lambda k: BranchingQuery(*pair, k)):
+            with pytest.raises(DomainError) as raised:
+                make(k)
+            assert str(raised.value) == message
+
+
 #: one value of each container on IntMap, with its pinned repr
 INT_MAPS = [
     pytest.param(So3MultiSet({1: 2, 0: 1}), "{tau_0: 1, tau_1: 2}", id="So3MultiSet"),
