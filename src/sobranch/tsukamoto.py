@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from operator import gt
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
@@ -39,7 +38,10 @@ class LaurentPoly(IntMap):
     __slots__ = ()
     _sep, _brackets, _empty = " + ", "{}", "0"
 
-    _key_type, _key_error = int, "exponent {!r} must be an integer"
+    @staticmethod
+    def _check(e2, c) -> None:
+        if type(e2) is not int:
+            raise DomainError(f"exponent {e2!r} must be an integer")
 
     @staticmethod
     def _item(e2: int, c: int) -> str:
@@ -107,10 +109,7 @@ def _check_atuple(a: tuple[int, ...], l2: tuple[int, ...]) -> ATuple:
 
 
 def _boxes_to_tuples(lows, highs) -> list[tuple[int, ...]]:
-    """Every weakly decreasing tuple with lows[i] <= a[i] <= highs[i]; none at
-    once where a box is empty."""
-    if any(map(gt, lows, highs)):
-        return []
+    """Every weakly decreasing tuple with lows[i] <= a[i] <= highs[i]."""
     tuples = [()]
     for lo, hi in zip(lows, highs):
         tuples = [a + (v,) for a in tuples for v in range(lo, min(hi, a[-1] if a else hi) + 1)]

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from operator import ge
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -41,7 +42,7 @@ FAMILY_D = "D"
 _FAMILIES = (FAMILY_B, FAMILY_D)
 #: the one type a doubled coordinate may have: not float, not bool
 _PLAIN_INT = frozenset({int})
-#: looked up once: ``tuple.__new__`` read per call was half of ``with_k``'s time
+#: looked up once for ``BranchingQuery.with_k``, which runs at every verify grid point
 _tuple_new = tuple.__new__
 
 #: smallest parameter n admitted by each family
@@ -153,11 +154,9 @@ class IntMap:
     """Immutable finite map to non-zero plain integers, the one container
     behind every route's sums and tables.
 
-    Built from a dict or from (key, value) pairs in one pass: every value
-    must be a plain int and, where a subclass sets ``_key_type``, every key
-    of exactly that type (else DomainError, its ``_key_error`` formatted
-    with the key); a subclass's ``_check(key, value)`` runs on every pair
-    given and its ``_key`` puts each key in stored form, then values are summed
+    Built from a dict or from (key, value) pairs: every value must be a
+    plain int, a subclass's ``_check(key, value)`` runs on every pair given
+    and its ``_key`` puts each key in stored form, then values are summed
     per key and zero sums dropped.  ``items()`` is sorted by key, the
     length counts the keys (so an empty map is falsy), and two maps are
     equal only if they have the same type and items.  The repr joins
@@ -167,18 +166,16 @@ class IntMap:
     """
 
     __slots__ = ("_data",)
-    _check = _key = _key_type = None
+    _check = _key = None
     _item = "{}: {}".format
     _sep, _brackets, _empty = ", ", "{{{}}}", "{}"
 
     def __init__(self, data=None) -> None:
         out: dict = {}
-        check, key_form, key_type = self._check, self._key, self._key_type
+        check, key_form = self._check, self._key
         for key, value in data.items() if isinstance(data, dict) else (data or ()):
             if type(value) is not int:
                 raise DomainError(f"{type(self).__name__} value {value!r} must be a plain integer")
-            if key_type is not None and type(key) is not key_type:
-                raise DomainError(self._key_error.format(key))
             if check is not None:
                 check(key, value)
             if value:
@@ -339,21 +336,16 @@ def weyl_elements(family: str, rank: int) -> tuple[SignedPermutation, ...]:
     return tuple(SignedPermutation(p, f) for p in itertools.permutations(range(rank)) for f in flip_sets)
 
 
-def _dominance_chain(family: str, c2: tuple[int, ...]) -> tuple[int, ...]:
-    """The coordinates that dominance asks to be weakly decreasing: B_r's
-    followed by 0, D_r's with the last one by its absolute value."""
-    return c2 + (0,) if family == FAMILY_B else c2[:-1] + (abs(c2[-1]),)
-
-
 def is_dominant(family: str, w: Weight) -> bool:
     """Dominance for the algebra type: B_r needs a weakly decreasing
     non-negative chain, D_r allows a negative last coordinate bounded by the
     one before it."""
     check_family(family)
-    if not w.coords2:
+    c = w.coords2
+    if not c:
         raise DomainError("rank must be positive")
-    chain = _dominance_chain(family, w.coords2)
-    return all(a >= b for a, b in zip(chain, chain[1:]))
+    chain = c + (0,) if family == FAMILY_B else c[:-1] + (abs(c[-1]),)
+    return all(map(ge, chain, chain[1:]))
 
 
 def iter_dominant_weights(family: str, rank: int, max_first: int) -> Iterator[Weight]:
@@ -406,21 +398,11 @@ def check_pair(family: str, n: int, lam: Weight, mu: Weight) -> None:
         raise DomainError(f"mu must have rank {n}, got {mu.rank}")
     if lam.rank != lam_rank:
         raise DomainError(f"lam must have rank {lam_rank}, got {lam.rank}")
-    # one pass over each weight's dominance chain finds an odd coordinate and a rise
-    chains = _dominance_chain(family, lam.coords2), _dominance_chain(k_family(family), mu.coords2)
-    odd, rises = 0, []
-    for chain in chains:
-        prev, rise = chain[0], False
-        for c in chain:
-            odd |= c & 1
-            rise |= c > prev
-            prev = c
-        rises.append(rise)
-    if odd:
+    if not lam.is_integral or not mu.is_integral:
         raise DomainError("highest weights must have integral coordinates")
-    if rises[0]:
+    if not is_dominant(family, lam):
         raise DomainError(f"lam={lam} is not dominant (family {family})")
-    if rises[1]:
+    if not is_dominant(k_family(family), mu):
         raise DomainError(f"mu={mu} is not dominant (family {family})")
 
 
@@ -470,6 +452,14 @@ def tilde(family: str, w: Weight) -> Weight:
     return w.with_last_negated()
 
 
+def _check_k(k: int) -> None:
+    """The test of k that every BranchingQuery runs."""
+    if type(k) is not int:
+        raise DomainError(f"k must be an integer, got {k!r}")
+    if k < 0:
+        raise DomainError("k must be non-negative")
+
+
 class BranchingQuery(namedtuple("BranchingQuery", "family n lam mu k")):
     """One branching question: how often does the subgroup irreducible with
     highest weight ``mu`` tensored with the (2k+1)-dimensional SO(3)
@@ -485,16 +475,14 @@ class BranchingQuery(namedtuple("BranchingQuery", "family n lam mu k")):
 
     def __new__(cls, family: str, n: int, lam: Weight, mu: Weight, k: int) -> "BranchingQuery":
         check_pair(family, n, lam, mu)
-        return tuple.__new__(cls, (family, n, lam, mu, 0)).with_k(k)
+        _check_k(k)
+        return tuple.__new__(cls, (family, n, lam, mu, k))
 
     def with_k(self, k: int) -> "BranchingQuery":
         """This query's pair at k, equal to ``BranchingQuery(family, n, lam, mu, k)``."""
-        if type(k) is not int:
-            raise DomainError(f"k must be an integer, got {k!r}")
-        if k < 0:
-            raise DomainError("k must be non-negative")
+        _check_k(k)
         family, n, lam, mu, _ = self
-        return _tuple_new(BranchingQuery, (family, n, lam, mu, k))
+        return _tuple_new(type(self), (family, n, lam, mu, k))
 
     @classmethod
     def _make(cls, fields: Iterable) -> "BranchingQuery":

@@ -41,7 +41,7 @@ def test_laurent_basics():
         LaurentPoly({True: 1})
     with pytest.raises(DomainError):
         LaurentPoly({0: True})
-    # the exponents are checked in one pass, and the first bad one is named
+    # the first bad exponent is named, for a dict and for pairs
     for bad in ({0: 1, 0.5: 1, 1.5: 1}, [(0, 1), (0.5, 1), (1.5, 1)]):
         with pytest.raises(DomainError, match=r"^exponent 0\.5 must be an integer$"):
             LaurentPoly(bad)
@@ -119,7 +119,7 @@ def test_no_atuple_off_the_triple_pattern(family, n, bound):
     assert off > 0
 
 
-def test_an_empty_box_gives_no_tuple_at_once():
+def test_an_empty_box_gives_no_tuple():
     # every weakly decreasing tuple in the boxes, and none where any box is
     # empty, the last one included
     boxes = tsukamoto._boxes_to_tuples
