@@ -28,7 +28,7 @@ repeated work:
 * Bound evaluator.  Both paths count with sigma's ``PartitionFunction``:
   its generators are validated and sorted once per root system
   (``_sigma``), and the row plan (head functional psi and the per-index
-  zero tests) is built on its first row, not once per pair or row.
+  zero tests) is made at that bind, not once per pair or row.
 * Whole row.  ``_pair_terms`` binds the terms of one (lam, mu) pair for
   every k into a small LRU: its placement, and per kept head sigma's
   ``PartitionFunction.row`` of the head target p_head - mu, the counts by

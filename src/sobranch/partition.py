@@ -6,8 +6,8 @@ integer multiplicities (duplicate generators count as distinct).  It is
 finite exactly when the generators span a pointed cone.
 
 ``partition_function`` binds a generator multiset once: it validates the
-generators, refuses a cone that is not pointed, sorts them and names the
-multiset's memo entries by a small integer.
+generators, sorts them, plans their rows (refusing a multiset whose rows
+are not finite) and names the multiset's memo entries by a small integer.
 
 Rows are the one evaluator.  ``PartitionFunction.row(head)`` counts every
 target (head, last) at once and returns the counts by last coordinate.  It
@@ -21,7 +21,7 @@ remaining generator is 0, has an empty histogram.  A generator whose head
 projection is zero does not enter the DP; it is applied afterwards as a 1-D
 count over the last coordinate.  The one such generator in use, family D's
 -e_last, has a negative last coordinate, so the count is a same-parity
-suffix sum; ``row`` refuses a zero-head generator with a positive one.
+suffix sum; the bind refuses a zero-head generator with a positive one.
 Rows and their histograms live in the shared cache under the binding's
 namespace, each weighing its number of cells against the cache's cap.
 
@@ -29,16 +29,15 @@ namespace, each weighing its number of cells against the cache's cap.
 appends a zero last coordinate to every generator, and reads the count at
 last coordinate 0 off the row whose head is the whole target.
 
-``count_sigma_prime`` is an independent specialized routine for the paired
-generator family e_i +- e_last: a balance-tracking dynamic program over the
-first n coordinates.
+``count_sigma_prime`` counts over the paired generators e_i +- e_last,
+1 <= i <= n: it reads the count off the row of the target's head, from
+sigma' bound once per n in a small LRU.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import defaultdict
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -126,7 +125,8 @@ def _positive_functional(gens2: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             return tuple(w)
         w = [wi + gi for wi, gi in zip(w, bad)]
     raise DomainError(
-        "generators do not span a pointed cone; the partition count is not finite"
+        "generators do not span a pointed cone on the head coordinates; "
+        "a row of partition counts is not finite"
     )
 
 
@@ -138,46 +138,26 @@ _namespaces = itertools.count()
 class PartitionFunction:
     """The partition function of one generator multiset, bound once.
 
-    Holds the sorted doubled-integer generators and, built on the first
-    ``row``, the plan every row DP of the multiset reads, so a row does none
-    of that work again.  Build one with ``partition_function``.
+    Holds the sorted doubled-integer generators and the plan every row DP of
+    the multiset reads, made at the bind, so a row does none of that work
+    again.  Build one with ``partition_function``.
     """
 
-    __slots__ = ("gens2", "rank", "_ns", "_row_plan")
+    __slots__ = ("gens2", "_ns", "_moving", "_psi", "_steps", "_stops", "_dead", "_zero_step")
 
     def __init__(self, gens2: tuple[tuple[int, ...], ...]):
-        _positive_functional(gens2)  # refuses a cone that is not pointed
-        self.gens2 = gens2
-        self.rank = len(gens2[0])
-        self._ns = next(_namespaces)
-        self._row_plan = None
-
-    def row(self, head: tuple[int, ...]) -> "Row":
-        """The partition counts of the doubled-integer targets (head, last)
-        for every last, as a ``Row``: ``row(head)[last]`` is the count of
-        ``head + (last,)``.  Raises DomainError where the non-zero head
-        projections of the generators do not span a pointed cone, or where
-        more than one generator, or one with a positive last coordinate, has
-        a zero head projection."""
-        _, psi, _, _, _, zero_step = self._row_plan or self._plan_rows()
-        key = (self._ns, -1, head)
-        row = _shared_cache.get(key)
-        if row is None:
-            level = _dot(psi, head)
-            row = Row(self._hist(0, head, level) if level >= 0 else {}, zero_step)
-            _shared_cache.put(key, row, max(1, len(row)))
-        return row
-
-    def _plan_rows(self) -> tuple:
-        """What every row DP of this multiset reads, built on the first
-        ``row``: the generators with a non-zero head projection as (head,
-        last); psi, an integer functional positive on each of those heads;
-        psi . head per generator; per index, the head coordinates where
-        every generator from there on is >= 0 (a residual negative there has
-        no partition) and those where every one is 0 (a residual non-zero
-        there has none); and the last coordinate of the one generator with
-        a zero head, negative, or 0."""
-        split = [(g[:-1], g[-1]) for g in self.gens2]
+        """Plan the rows of ``gens2``: the generators with a non-zero head
+        projection as (head, last); psi, an integer functional positive on
+        each of those heads; psi . head per generator; per index, the head
+        coordinates where every generator from there on is >= 0 (a residual
+        negative there has no partition) and those where every one is 0 (a
+        residual non-zero there has none); and the last coordinate of the
+        one generator with a zero head, negative, or 0.  Raises DomainError
+        where the heads do not span a pointed cone, or where more than one
+        generator, or one with a positive last coordinate, has a zero head
+        projection.  A multiset that passes spans a pointed cone: a large
+        multiple of psi, less the last coordinate, is positive on it."""
+        split = [(g[:-1], g[-1]) for g in gens2]
         moving = tuple((h, last) for h, last in split if any(h))
         zero = [last for h, last in split if not any(h)]
         if len(zero) > 1 or any(last > 0 for last in zero):
@@ -186,41 +166,49 @@ class PartitionFunction:
                 "and only one with a negative last coordinate"
             )
         heads = tuple(h for h, _ in moving)
-        try:
-            psi = _positive_functional(heads) if heads else (0,) * (self.rank - 1)
-        except DomainError:
-            raise DomainError(
-                "the non-zero head projections do not span a pointed cone; "
-                "a row over the last coordinate is not finite"
-            ) from None
-        coords = range(self.rank - 1)
+        psi = _positive_functional(heads) if heads else (0,) * (len(gens2[0]) - 1)
+        coords = range(len(psi))
         suffixes = [heads[i:] for i in range(len(heads))]
-        plan = (
-            moving,
-            psi,
-            tuple(_dot(psi, h) for h in heads),
-            tuple(tuple(c for c in coords if all(h[c] >= 0 for h in rest)) for rest in suffixes),
-            tuple(tuple(c for c in coords if not any(h[c] for h in rest)) for rest in suffixes),
-            zero[0] if zero else 0,
+        self.gens2 = gens2
+        self._ns = next(_namespaces)
+        self._moving = moving
+        self._psi = psi
+        self._steps = tuple(_dot(psi, h) for h in heads)
+        self._stops = tuple(
+            tuple(c for c in coords if all(h[c] >= 0 for h in rest)) for rest in suffixes
         )
-        self._row_plan = plan
-        return plan
+        self._dead = tuple(
+            tuple(c for c in coords if not any(h[c] for h in rest)) for rest in suffixes
+        )
+        self._zero_step = zero[0] if zero else 0
+
+    def row(self, head: tuple[int, ...]) -> "Row":
+        """The partition counts of the doubled-integer targets (head, last)
+        for every last, as a ``Row``: ``row(head)[last]`` is the count of
+        ``head + (last,)``."""
+        key = (self._ns, -1, head)
+        row = _shared_cache.get(key)
+        if row is None:
+            level = _dot(self._psi, head)
+            row = Row(self._hist(0, head, level) if level >= 0 else {}, self._zero_step)
+            _shared_cache.put(key, row, max(1, len(row)))
+        return row
 
     def _hist(self, index: int, head: tuple[int, ...], level: int) -> dict:
         # last -> count over the non-zero-head generators from index on;
         # level is psi . head >= 0 and drops by psi . g per generator taken
-        moving, _, steps, stops, dead, _ = self._row_plan
+        moving = self._moving
         if index == len(moving):
             return _EMPTY if any(head) else _UNIT
         key = (self._ns, index, head)
         hit = _shared_cache.get(key)
         if hit is not None:
             return hit
-        stop = stops[index]
-        if any(head[c] < 0 for c in stop) or any(head[c] for c in dead[index]):
+        stop = self._stops[index]
+        if any(head[c] < 0 for c in stop) or any(head[c] for c in self._dead[index]):
             return _EMPTY
         g, g_last = moving[index]
-        step = steps[index]
+        step = self._steps[index]
         out: dict = {}
         shift = 0
         while True:
@@ -277,8 +265,9 @@ def _bind(gens2: tuple[tuple[int, ...], ...]) -> PartitionFunction:
 
 def partition_function(generators: Iterable[Weight]) -> PartitionFunction:
     """The bound partition function of a non-empty generator multiset of one
-    rank; zero generators and cones that are not pointed raise DomainError.
-    Equal multisets share one binding while it stays in a small LRU."""
+    rank; zero generators and multisets whose rows are not finite (see
+    ``PartitionFunction``) raise DomainError.  Equal multisets share one
+    binding while it stays in a small LRU."""
     gens = tuple(generators)
     if not gens:
         raise DomainError("an empty generator set has no partition function to bind")
@@ -313,29 +302,29 @@ def count_vector_partitions(generators: Iterable[Weight], target: Weight) -> int
     return bound.row(target.coords2)[0]
 
 
+#: sigma' bindings kept, one per n
+_SIGMA_PRIMES = 8
+
+
+@lru_cache(maxsize=_SIGMA_PRIMES)
+def _sigma_prime(n: int) -> PartitionFunction:
+    """The partition function of e_i +- e_last, 1 <= i <= n, for n >= 1."""
+    e_last = Weight.basis(n + 1, n)
+    return partition_function(
+        Weight.basis(n + 1, i) + e_last.scaled(s) for i in range(n) for s in (1, -1)
+    )
+
+
 def count_sigma_prime(n: int, target: Weight) -> int:
     """Partition count for the paired generators e_i +- e_last, 1 <= i <= n,
-    on a rank n+1 target.
-
-    Per coordinate i the split a_i + b_i = t_i is enumerated while the
-    running balance sum(a_i - b_i) is tracked; the count is the number of
-    balance paths landing on the last coordinate.
-    """
+    on a rank n+1 target, read off the row of the target's head."""
     if type(n) is not int or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
     if target.rank != n + 1:
         raise DomainError(f"target must have rank {n + 1}, got {target.rank}")
     if not target.is_integral:
         return 0
-    t = target.to_ints()
-    head, last = t[:n], t[n]
-    if any(v < 0 for v in head):
-        return 0
-    balances: dict[int, int] = {0: 1}
-    for v in head:
-        nxt: dict[int, int] = defaultdict(int)
-        for s, ways in balances.items():
-            for d in range(-v, v + 1, 2):
-                nxt[s + d] += ways
-        balances = dict(nxt)
-    return balances.get(last, 0)
+    t2 = target.coords2
+    if not n:  # no generators
+        return 1 if not any(t2) else 0
+    return _sigma_prime(n).row(t2[:n])[t2[n]]

@@ -109,11 +109,11 @@ def _check_atuple(a: tuple[int, ...], l2: tuple[int, ...]) -> ATuple:
 
 
 def _boxes_to_tuples(lows, highs) -> list[tuple[int, ...]]:
-    """Every weakly decreasing tuple with lows[i] <= a[i] <= highs[i]."""
-    tuples = [()]
-    for lo, hi in zip(lows, highs):
-        tuples = [a + (v,) for a in tuples for v in range(lo, min(hi, a[-1] if a else hi) + 1)]
-    return tuples
+    """Every tuple with lows[i] <= a[i] <= highs[i].  Both families' boxes
+    are stacked, each below the one before it (low(a_{i-1}) >= mu_{i-1} >=
+    high(a_i) under family B, low(a_{i-1}) >= lam_i >= high(a_i) under family
+    D), so every such tuple is weakly decreasing."""
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))))
 
 
 def _atuples_B(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:

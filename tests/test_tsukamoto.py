@@ -101,10 +101,13 @@ def test_atuple_bracket_arguments_positive():
                     assert at.l2[-1] >= 1 and at.l2[-1] % 2 == 1
 
 
-@pytest.mark.parametrize("family, n, bound", [
+ATUPLE_GRIDS = [
     ("B", 2, 3), ("B", 3, 3), ("B", 4, 2), ("B", 5, 2),
     ("D", 1, 3), ("D", 2, 3), ("D", 3, 3), ("D", 4, 2),
-])
+]
+
+
+@pytest.mark.parametrize("family, n, bound", ATUPLE_GRIDS)
 def test_no_atuple_off_the_triple_pattern(family, n, bound):
     # the series decides its own zeros: off the vanishing pattern the
     # a-tuple boxes are empty, so no interlacing test is needed to skip them
@@ -119,11 +122,27 @@ def test_no_atuple_off_the_triple_pattern(family, n, bound):
     assert off > 0
 
 
+@pytest.mark.parametrize("family, n, bound", ATUPLE_GRIDS)
+def test_the_boxes_are_stacked(monkeypatch, family, n, bound):
+    # each box lies below the one before it, so the tuples in the boxes are
+    # weakly decreasing without a test
+    seen = []
+    monkeypatch.setattr(tsukamoto, "_boxes_to_tuples", lambda *box: seen.append(box) or [])
+    rank = make_root_data(family, n).g_rank
+    mus = list(iter_dominant_weights(weights.k_family(family), n, bound))
+    for lam in iter_dominant_weights(family, rank, bound):
+        for mu in mus:
+            enumerate_atuples(family, lam, mu)
+    assert seen
+    for lows, highs in seen:
+        assert all(lo >= hi for lo, hi in zip(lows, highs[1:])), (lows, highs)
+
+
 def test_an_empty_box_gives_no_tuple():
-    # every weakly decreasing tuple in the boxes, and none where any box is
-    # empty, the last one included
+    # every tuple in the stacked boxes, and none where any box is empty, the
+    # last one included
     boxes = tsukamoto._boxes_to_tuples
-    assert boxes((0, 0), (2, 1)) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert boxes((1, 0), (2, 1)) == [(1, 0), (1, 1), (2, 0), (2, 1)]
     assert boxes((0, 0, 5), (9, 9, 4)) == [] and boxes((3, 0), (2, 9)) == []
     assert boxes((), ()) == [()]
 
