@@ -16,8 +16,9 @@ The series of a pair (lam, mu) carries every label k at once, so
 ``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that
 ``_pair_row`` binds once per pair into a bounded LRU, like both Kostant
 sums; every pair, a family D lam with a negative last coordinate included,
-is built from its own a-tuples.  A pair whose series is zero keeps an empty
-row, and a pair that raises is not kept (it raises again on the next call).
+is built from its own a-tuples, and their boxes alone make a series zero.  A
+pair whose series is zero keeps an empty row, and a pair that raises is not
+kept (it raises again on the next call).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
-from .weights import FAMILY_B, BranchingQuery, IntMap, Weight, check_pair, interlace
+from .weights import FAMILY_B, BranchingQuery, IntMap, Weight, check_pair
 
 
 class LaurentPoly(IntMap):
@@ -108,36 +109,44 @@ def _check_atuple(a: tuple[int, ...], l2: tuple[int, ...]) -> ATuple:
     return ATuple(a, l2)
 
 
-def _boxes_to_tuples(lows, highs) -> list[tuple[int, ...]]:
-    """Every tuple with lows[i] <= a[i] <= highs[i].  Both families' boxes
-    are stacked, each below the one before it (low(a_{i-1}) >= mu_{i-1} >=
+def _boxes_to_tuples(lows1, lows2, highs1, highs2) -> list[tuple[int, ...]]:
+    """Every tuple of even doubled coordinates with max(lows1[i], lows2[i])
+    <= a[i] <= min(highs1[i], highs2[i]); none at the first empty box (a low
+    above its high), before any product is taken.  Both families' boxes are
+    stacked, each below the one before it (low(a_{i-1}) >= mu_{i-1} >=
     high(a_i) under family B, low(a_{i-1}) >= lam_i >= high(a_i) under family
     D), so every such tuple is weakly decreasing."""
-    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))))
+    boxes = []
+    for p, q, r, s in zip(lows1, lows2, highs1, highs2):
+        lo, hi = p if p > q else q, r if r < s else s  # max and min cost a call each
+        if lo > hi:
+            return []
+        boxes.append(range(lo, hi + 1, 2))
+    return list(itertools.product(*boxes))
 
 
 def _atuples_B(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:
+    # lam, mu and every box, A and a below are doubled coordinates
     n = len(mu)
     L = lam + (0, 0)  # L[i - 1] is lam_i, 1 <= i <= n + 3
     M = lam[:1] + mu  # M[i] is mu_i, with mu_0 = lam_1
-    lows = [max(M[i], L[i + 1]) for i in range(1, n)] + [max(abs(M[n]), L[n + 1])]
-    highs = [min(M[i - 1], L[i - 1]) for i in range(1, n + 1)]
-    for a in _boxes_to_tuples(lows, highs):
+    # box i: max(mu_i, lam_i+2) <= a_i <= min(mu_i-1, lam_i), |mu_n| for mu_n
+    for a in _boxes_to_tuples(mu[:-1] + (abs(mu[-1]),), L[2:n + 2], M[:n], L[:n]):
         A = lam[:1] + a  # A[i] is a_i, with a_0 = lam_1
-        l2 = [2 * (min(L[i - 1], A[i - 1]) - max(L[i], A[i]) + 1) for i in range(1, n + 1)]
-        yield _check_atuple(a, tuple(l2) + (2 * min(L[n], A[n]) + 1,))
+        l2 = [min(L[i - 1], A[i - 1]) - max(L[i], A[i]) + 2 for i in range(1, n + 1)]
+        yield _check_atuple(tuple([v >> 1 for v in a]), tuple(l2) + (min(L[n], A[n]) + 1,))
 
 
 def _atuples_D(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:
+    # lam, mu and every box and a below are doubled coordinates
     n = len(mu)
     L = lam + (0,)  # L[i - 1] is lam_i, 1 <= i <= n + 3
     M = lam[:1] * 2 + mu + (0,)  # M[i + 1] is mu_i, with mu_0 = mu_-1 = lam_1, mu_n+1 = 0
-    lows = [max(M[i + 1], L[i]) for i in range(1, n + 1)] + [abs(L[n + 1])]
-    highs = [min(M[i - 1], L[i - 1]) for i in range(1, n + 1)] + [min(M[n], L[n])]
-    for a in _boxes_to_tuples(lows, highs):
+    # box i: max(mu_i, lam_i+1) <= a_i <= min(mu_i-2, lam_i), |lam_n+2| for mu_n+1
+    for a in _boxes_to_tuples(mu + (abs(L[n + 1]),), L[1:n + 2], M[:n + 1], L[:n + 1]):
         # a[i - 1] is a_i, 1 <= i <= n + 1
-        l2 = [2 * (min(M[i], a[i - 1]) - max(M[i + 1], a[i]) + 1) for i in range(1, n + 1)]
-        yield _check_atuple(a, tuple(l2) + (2 * min(M[n + 1], a[n]) + 1,))
+        l2 = [min(M[i], a[i - 1]) - max(M[i + 1], a[i]) + 2 for i in range(1, n + 1)]
+        yield _check_atuple(tuple([v >> 1 for v in a]), tuple(l2) + (min(M[n + 1], a[n]) + 1,))
 
 
 def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...]:
@@ -145,8 +154,8 @@ def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...
     a pair that fails ``check_pair`` (n the rank of mu) raises DomainError."""
     check_pair(family, mu.rank, lam, mu)
     if family == FAMILY_B:
-        return tuple(_atuples_B(lam.to_ints(), mu.to_ints()))
-    return tuple(_atuples_D(lam.to_ints(), mu.to_ints()))
+        return tuple(_atuples_B(lam.coords2, mu.coords2))
+    return tuple(_atuples_D(lam.coords2, mu.coords2))
 
 
 #: bracket products kept, one per sorted tuple of doubled bracket
@@ -172,12 +181,10 @@ def _bracket_product(l2s: tuple[int, ...]) -> tuple[int, ...]:
 def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> LaurentPoly:
     """Sum over admissible tuples of prod_i [l_i] times the final two-term
     factor x^(l/2) - x^(-l/2); the zero polynomial where there is no
-    admissible tuple.  Off the vanishing pattern (triple interlacing) the
-    a-tuple boxes are empty, so there the zero is returned without
-    enumerating them, which is cheaper; ``interlace`` rejects an invalid
-    pair with DomainError."""
-    if not interlace("triple", family, lam, mu):
-        return LaurentPoly.zero()
+    admissible tuple.  The a-tuple boxes alone decide that: no interlacing
+    test is taken, so the vanishing pattern (triple interlacing) is a result
+    the sweeps check, not an input.  ``enumerate_atuples`` rejects an
+    invalid pair with DomainError."""
     total: dict[int, int] = {}
     for at in enumerate_atuples(family, lam, mu):
         c = _bracket_product(tuple(sorted(at.l2[:-1])))

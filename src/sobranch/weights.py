@@ -20,11 +20,13 @@ In restricted (rank n+1) coordinates the last slot always carries the
 SO(3) torus coordinate.
 
 ``check_pair`` is the package's one definition of a valid branching pair
-(family, n, lam, mu); every entry point that takes a pair calls it, directly
-or through ``interlace`` or ``BranchingQuery``, the one query type every
-route answers (its ``with_k`` checks only k).  ``IntMap`` is the one map
-to non-zero integers that every route's container (Laurent series,
-characters, SO(3) multisets, branching tables) subclasses.
+(family, n, lam, mu); every entry point that takes a pair calls it, either
+directly, or through ``interlace`` (the closed forms, whose "simple" case is
+their precondition), or through ``BranchingQuery``, the one query type every
+route answers (its ``with_k`` checks only k).  No route reads the "triple"
+case: it is the vanishing pattern the tests check the routes against.
+``IntMap`` is the one map to non-zero integers that every route's container
+(Laurent series, characters, SO(3) multisets, branching tables) subclasses.
 """
 
 from __future__ import annotations

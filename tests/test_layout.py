@@ -40,6 +40,38 @@ def test_module_imports_only_its_allowed_layers(module):
     assert relative_imports(module) <= ALLOWED[module], module
 
 
+def names(source: str) -> set[str]:
+    """Every identifier ``source`` uses: names, attributes, imported names
+    and their aliases."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name.split(".")[-1], node.asname)))
+    return found
+
+
+def test_tsukamoto_decides_its_own_zeros():
+    # the a-tuple boxes alone make the series zero: the vanishing pattern is
+    # what the sweeps test the route against, never a shortcut inside it
+    assert "interlace" not in names((SRC / "tsukamoto.py").read_text())
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from .weights import check_pair, interlace\n", True),
+    ("from .weights import interlace as triple\n", True),
+    ("from . import weights\nweights.interlace('triple', 'B', lam, mu)\n", True),
+    ("ok = interlace('triple', family, lam, mu)\n", True),
+    ("from .weights import check_pair\n", False),
+    ('"""off the vanishing pattern (triple interlacing)"""\n', False),
+])
+def test_name_scan_flags_every_form(source, flagged):
+    assert ("interlace" in names(source)) == flagged
+
+
 #: what an absolute import of the tests names: the package, or one of its
 #: modules on the path pytest gives them
 TEST_MODULES = {"tests"} | {path.stem for path in Path(__file__).resolve().parent.glob("*.py")}

@@ -110,7 +110,8 @@ ATUPLE_GRIDS = [
 @pytest.mark.parametrize("family, n, bound", ATUPLE_GRIDS)
 def test_no_atuple_off_the_triple_pattern(family, n, bound):
     # the series decides its own zeros: off the vanishing pattern the
-    # a-tuple boxes are empty, so no interlacing test is needed to skip them
+    # a-tuple boxes are empty, and on it they hold a tuple, so an interlacing
+    # test would add nothing to the enumeration
     rank = make_root_data(family, n).g_rank
     mus = list(iter_dominant_weights(weights.k_family(family), n, bound))
     off = 0
@@ -119,6 +120,8 @@ def test_no_atuple_off_the_triple_pattern(family, n, bound):
             if not interlace("triple", family, lam, mu):
                 off += 1
                 assert enumerate_atuples(family, lam, mu) == (), (lam, mu)
+            else:
+                assert enumerate_atuples(family, lam, mu) != (), (lam, mu)
     assert off > 0
 
 
@@ -134,17 +137,23 @@ def test_the_boxes_are_stacked(monkeypatch, family, n, bound):
         for mu in mus:
             enumerate_atuples(family, lam, mu)
     assert seen
-    for lows, highs in seen:
+    for lows1, lows2, highs1, highs2 in seen:
+        assert len(lows1) == len(lows2) == len(highs1) == len(highs2)
+        lows, highs = [*map(max, lows1, lows2)], [*map(min, highs1, highs2)]
         assert all(lo >= hi for lo, hi in zip(lows, highs[1:])), (lows, highs)
 
 
 def test_an_empty_box_gives_no_tuple():
     # every tuple in the stacked boxes, and none where any box is empty, the
-    # last one included
+    # last one included; box i is max(lows1[i], lows2[i]) <= a_i <=
+    # min(highs1[i], highs2[i]), in doubled coordinates
     boxes = tsukamoto._boxes_to_tuples
-    assert boxes((1, 0), (2, 1)) == [(1, 0), (1, 1), (2, 0), (2, 1)]
-    assert boxes((0, 0, 5), (9, 9, 4)) == [] and boxes((3, 0), (2, 9)) == []
-    assert boxes((), ()) == [()]
+    assert boxes((2, 0), (0, 0), (4, 2), (6, 2)) == [(2, 0), (2, 2), (4, 0), (4, 2)]
+    assert boxes((0, 0, 0), (0, 0, 10), (18, 18, 8), (18, 18, 18)) == []
+    assert boxes((6, 0), (0, 0), (18, 18), (4, 18)) == []
+    assert boxes((), (), (), ()) == [()]
+    # the first empty box ends the walk: no bound after it is read
+    assert boxes(iter((4, "x")), (0, 0), (2, 2), (2, 2)) == []
 
 
 def test_generating_function_examples():
