@@ -1,6 +1,7 @@
 """The routes stay independent: each module imports only the shared base
 (weights, partition, errors) it is allowed, never another route, and no
-module imports the tests' references.  Every memo in the package is
+module imports the tests' references; Tsukamoto names no interlacing test,
+so its zeros are its own.  Every memo in the package is
 bounded, and every value type is a validated named tuple: no module imports
 dataclasses."""
 
