@@ -1,9 +1,8 @@
 """The routes stay independent: each module imports only the shared base
 (weights, partition, errors) it is allowed, never another route, and no
 module imports the tests' references; Tsukamoto names no interlacing test,
-so its zeros are its own.  Every memo in the package is
-bounded, and every value type is a validated named tuple: no module imports
-dataclasses."""
+so its zeros are its own.  Every memo in the package is bounded, and every
+value type is a validated named tuple: no module imports dataclasses."""
 
 import ast
 from pathlib import Path
