@@ -251,7 +251,10 @@ def _cmd_u3so3(args: argparse.Namespace, out) -> int:
     return 1 if diverged else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser, with every sub-command registered and
+    ``command``'s arguments (every sub-command's when it is None): ``main``
+    names the one sub-command its arguments call, so it builds no other's."""
     parser = argparse.ArgumentParser(
         prog="sobranch",
         description="Exact branching multiplicities for SO(m+3) over SO(m) x SO(3).",
@@ -269,29 +272,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p_mult = sub.add_parser("mult", help="per-method multiplicities for one query")
-    add_common(p_mult, need_mu=True, need_k=True)
-    p_mult.add_argument("--methods", type=_methods, default="all")
-    p_mult.set_defaults(run=_cmd_mult)
+    if command in (None, "mult"):
+        add_common(p_mult, need_mu=True, need_k=True)
+        p_mult.add_argument("--methods", type=_methods, default="all")
+        p_mult.set_defaults(run=_cmd_mult)
 
     p_dec = sub.add_parser("decompose", help="full branching table of one lambda")
-    add_common(p_dec, need_mu=False, need_k=False)
-    p_dec.add_argument("--methods", choices=tuple(METHODS), default="oracle")
-    p_dec.set_defaults(run=_cmd_decompose)
+    if command in (None, "decompose"):
+        add_common(p_dec, need_mu=False, need_k=False)
+        p_dec.add_argument("--methods", choices=tuple(METHODS), default="oracle")
+        p_dec.set_defaults(run=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="cross-method agreement sweep")
-    p_ver.add_argument("--family", choices=("B", "D"), required=True)
-    p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--max", type=int, required=True, help="bound on the first coordinate of lambda")
-    p_ver.add_argument("--methods", type=_methods, default="kostant-full,tsukamoto,oracle",
-                       help="two or more distinct methods, or all")
-    p_ver.add_argument("--format", choices=("json", "text"), default="text")
-    p_ver.set_defaults(run=_cmd_verify)
+    if command in (None, "verify"):
+        p_ver.add_argument("--family", choices=("B", "D"), required=True)
+        p_ver.add_argument("--n", type=int, required=True)
+        p_ver.add_argument("--max", type=int, required=True, help="bound on the first coordinate of lambda")
+        p_ver.add_argument("--methods", type=_methods, default="kostant-full,tsukamoto,oracle",
+                           help="two or more distinct methods, or all")
+        p_ver.add_argument("--format", choices=("json", "text"), default="text")
+        p_ver.set_defaults(run=_cmd_verify)
 
     p_u3 = sub.add_parser("u3so3", help="U(3) to SO(3) branching, closed vs oracle")
-    p_u3.add_argument("--lam", type=_ints, required=True, help="three comma-separated integers")
-    p_u3.add_argument("--k", type=int, default=None)
-    p_u3.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p_u3.set_defaults(run=_cmd_u3so3)
+    if command in (None, "u3so3"):
+        p_u3.add_argument("--lam", type=_ints, required=True, help="three comma-separated integers")
+        p_u3.add_argument("--k", type=int, default=None)
+        p_u3.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p_u3.set_defaults(run=_cmd_u3so3)
 
     return parser
 
@@ -307,7 +314,8 @@ def main(argv=None) -> int:
             print("error: SOBRANCH_CACHE_ENTRIES must be a positive integer", file=sys.stderr)
             return USAGE_ERROR
         partition.shared_cache().set_max_entries(limit)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -520,8 +520,8 @@ def restrict(family: str, w: Weight) -> Weight:
 
 
 #: root systems kept for ``algebra_positive_roots`` and ``algebra_rho``, one
-#: per (family, rank); the oracle reads them at every Freudenthal recursion
-#: and dimension check
+#: per (family, rank); the oracle reads them once per algebra for its root
+#: data, and ``make_root_data`` reads rho
 _ALGEBRAS = 16
 
 

@@ -604,6 +604,38 @@ def test_bad_argv_is_a_usage_error(capsys, argv):
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
 
 
+def parse_with_every_command(capsys, argv):
+    """Exit code, stdout and stderr of parsing argv with every sub-command's
+    arguments built (None: it parsed)."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("--help", 0), ("mult --help", 0), ("decompose --help", 0), ("verify --help", 0),
+    ("u3so3 --help", 0), ("bogus", 2), ("", 2), ("mult --family B", 2),
+])
+def test_main_builds_only_the_called_command(capsys, argv, code):
+    # help, unknown commands and missing arguments read as from the parser
+    # with every sub-command's arguments, which main no longer builds
+    argv = argv.split()
+    assert run(capsys, *argv) == parse_with_every_command(capsys, argv)
+    assert run(capsys, *argv)[0] == code
+
+
+def test_a_named_command_gets_no_other_commands_arguments(capsys):
+    argv = ["verify", "--family", "B", "--n", "2", "--max", "1"]
+    assert cli.build_parser("verify").parse_args(argv).max == 1
+    with pytest.raises(SystemExit):
+        cli.build_parser("mult").parse_args(argv)
+    assert "unrecognized arguments: --family B --n 2 --max 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0"])
 def test_bad_cache_env_var_is_a_usage_error(value):
     env = dict(os.environ, SOBRANCH_CACHE_ENTRIES=value)

@@ -267,6 +267,9 @@ def test_orbit_and_binding_caches_are_bounded():
     # one whole rank-8 group of permutations
     assert weights._inversion_parity.cache_info().maxsize == math.factorial(8)
     assert oracle._dominant_mults.cache_info().maxsize is not None
+    assert oracle._algebra_data.cache_info().maxsize == oracle._ALGEBRA_DATA == 16
+    assert oracle._orbit_table.cache_info().maxsize == oracle._ORBIT_TABLES == 256
+    assert oracle._chamber.cache_info().maxsize == oracle._CHAMBERS == 32
     # built on the memoised dominant multiplicities; only whole weight
     # systems (weight_multiplicities) read it
     assert not hasattr(oracle._char_items, "cache_info")

@@ -1,8 +1,10 @@
 """The routes stay independent: each module imports only the shared base
 (weights, partition, errors) it is allowed, never another route, and no
-module imports the tests' references; Tsukamoto names no interlacing test,
-so its zeros are its own.  Every memo in the package is bounded, and every
-value type is a validated named tuple: no module imports dataclasses."""
+module imports the tests' references (the scalar partition count, the
+Freudenthal recursion over every positive root); Tsukamoto names no
+interlacing test, so its zeros are its own.  Every memo in the package is
+bounded, and every value type is a validated named tuple: no module imports
+dataclasses."""
 
 import ast
 from pathlib import Path
@@ -96,6 +98,7 @@ def test_no_module_imports_the_tests(path):
 @pytest.mark.parametrize("source, flagged", [
     ("from partition_reference import ScalarPartitionFunction\n", True),
     ("import tests.partition_reference as reference\n", True),
+    ("from freudenthal_reference import reference_dominant_mults\n", True),
     ("def f():\n    import conftest\n", True),
     ("from .partition import partition_function\n", False),
     ("import itertools\n", False),

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from freudenthal_reference import reference_dominant_mults
 
 from sobranch.errors import DomainError
 from sobranch.oracle import (
@@ -72,6 +73,29 @@ def test_weight_systems_match_the_whole_group_expansion(algebra):
             for omega in weyl_elements(family, rank):
                 expected[omega.apply2(eta2)] = m
         assert weight_multiplicities(algebra, lam) == CharacterMap(expected), lam
+
+
+#: lam_1 bound per algebra: every dominant lam of B_1-B_7 and D_2-D_7 up to it
+FREUDENTHAL_GRID = {
+    **{("B", rank): bound for rank, bound in zip(range(1, 8), (6, 5, 4, 3, 2, 2, 1))},
+    **{("D", rank): bound for rank, bound in zip(range(2, 8), (5, 4, 3, 3, 2, 2))},
+}
+
+
+def test_orbit_recursion_matches_every_positive_root():
+    """One root string per stabilizer orbit gives the dominant
+    multiplicities of the recursion over every positive root.  Family D's
+    stabilizers are the delicate ones, so its grid holds lam and eta with a
+    negative last coordinate and with zero blocks of one and two slots."""
+    d_weights = set()
+    for (family, rank), bound in FREUDENTHAL_GRID.items():
+        for lam in iter_dominant_weights(family, rank, bound):
+            system = _dominant_mults(family, rank, lam.coords2)
+            assert system == reference_dominant_mults(family, rank, lam.coords2), (family, lam)
+            if family == "D":
+                d_weights.update(eta2 for eta2, _ in system)
+    assert any(eta2[-1] < 0 for eta2 in d_weights)
+    assert {0, 1, 2} <= {eta2.count(0) for eta2 in d_weights}
 
 
 def test_weight_multiplicities_rejects_bad_input():
