@@ -36,14 +36,7 @@ from .kostant import (
     multiplicity_kostant_full,
     multiplicity_kostant_reduced,
 )
-from .oracle import (
-    CharacterMap,
-    MultiplicityTable,
-    branch_oracle,
-    weight_multiplicities,
-    weyl_dim,
-    xi,
-)
+from .oracle import MultiplicityTable, branch_oracle, weyl_dim
 from .partition import (
     PartitionCache,
     count_sigma_prime,
@@ -56,7 +49,6 @@ from .tsukamoto import (
     enumerate_atuples,
     extract_multiplicities,
     multiplicity_tsukamoto,
-    quantum_bracket,
     tsukamoto_generating_function,
 )
 from .u3_so3 import (
@@ -85,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ATuple",
     "BranchingQuery",
-    "CharacterMap",
     "CoincidencePatternError",
     "DomainError",
     "InterlacingError",
@@ -118,7 +109,6 @@ __all__ = [
     "multiplicity_kostant_full",
     "multiplicity_kostant_reduced",
     "multiplicity_tsukamoto",
-    "quantum_bracket",
     "restrict",
     "shared_cache",
     "so3_tensor_decompose",
@@ -128,7 +118,5 @@ __all__ = [
     "u3_restriction",
     "u3_to_so3_closed",
     "u3_to_so3_oracle",
-    "weight_multiplicities",
     "weyl_dim",
-    "xi",
 ]

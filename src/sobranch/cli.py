@@ -44,6 +44,7 @@ from .weights import (
     Weight,
     check_family_n,
     check_pair,
+    check_rank,
     g_rank,
     iter_dominant_weights,
     k_family,
@@ -161,7 +162,10 @@ def _cmd_mult(args: argparse.Namespace, out) -> int:
 
 def _cmd_decompose(args: argparse.Namespace, out) -> int:
     lam = Weight.of_ints(args.lam)
-    # mu = 0 is dominant for every subgroup, so this checks family, n and lam
+    # family, n and lam's rank first, so that no weight of rank n is built
+    # for an n that lam does not match; mu = 0 is dominant for every
+    # subgroup, so check_pair then checks the rest of lam
+    check_rank("lam", lam, g_rank(args.family, args.n))
     check_pair(args.family, args.n, lam, Weight((0,) * args.n))
     # a non-zero entry has mu_1 <= lam_1 and k at most the coordinate sum of
     # lam, so the walk over these mu reaches every entry of the table

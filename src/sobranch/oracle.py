@@ -1,16 +1,15 @@
 """Brute-force branching oracle, independent of every closed formula in the
-package: Freudenthal weight multiplicities, alternating Weyl-orbit sums,
-character restriction, and greedy highest-weight stripping over the product
-subgroup.
+package: Freudenthal weight multiplicities, character restriction, and
+greedy highest-weight stripping over the product subgroup.
 
 Freudenthal's recursion walks one root string per orbit of the weight's
 stabilizer on the roots, weighted by the orbit's positive roots
 (Moody-Patera, "Fast recursion formula for weight multiplicities", Bull.
 AMS 7, 1982).  A character is fixed by its dominant multiplicities, so
 branching restricts and strips on the dominant chamber of K x SO(3) alone
-and expands no orbit.
-A full weight system spreads them over each dominant weight's coordinate
-arrangements under every ``weights.sign_patterns``.  Only ``xi`` walks W.
+and expands no orbit, and nothing here walks W.  ``_char_items`` spreads
+them into a full weight system, over each dominant weight's coordinate
+arrangements under every ``weights.sign_patterns``, for the tests.
 
 Algebras are designated by (family, rank) pairs with family 'B' or 'D'; all
 arithmetic is exact on doubled-integer tuples.
@@ -28,7 +27,6 @@ from .weights import (
     FAMILY_B,
     FAMILY_D,
     IntMap,
-    SignedPermutation,
     Weight,
     algebra_positive_roots,
     algebra_rho,
@@ -38,12 +36,12 @@ from .weights import (
     iter_dominant_weights,
     k_family,
     sign_patterns,
-    weyl_elements,
 )
 
-# Not called here: perfbench's chunk marks look this name up in this module,
-# so it stays bound until the benchmark reads library counters instead.
-from .weights import restrict  # noqa: F401
+# Not called here: perfbench's chunk marks and tracer look these names up in
+# this module, so they stay bound until the benchmark reads library counters
+# instead.
+from .weights import restrict, weyl_elements  # noqa: F401
 
 Algebra = tuple[str, int]
 
@@ -67,34 +65,6 @@ def _check_algebra(algebra: Algebra) -> Algebra:
     if rank < 1 or (family == FAMILY_D and rank < 2):
         raise DomainError(f"unsupported algebra {family}_{rank}")
     return family, rank
-
-
-class CharacterMap(IntMap):
-    """Sparse integer-valued map on the weight lattice (signed values are
-    allowed, so alternating orbit sums fit too), keyed by a ``Weight`` or
-    its doubled coordinates."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(key) -> tuple[int, ...]:
-        return key.coords2 if isinstance(key, Weight) else tuple(key)
-
-    def get(self, w: Weight) -> int:
-        return self._data.get(w.coords2, 0)
-
-    def items(self) -> list[tuple[Weight, int]]:
-        return [(Weight(k), v) for k, v in sorted(self._data.items())]
-
-    def total(self) -> int:
-        return sum(self._data.values())
-
-    def transformed(self, omega: SignedPermutation) -> "CharacterMap":
-        return CharacterMap({omega.apply2(k): v for k, v in self._data.items()})
-
-    def __mul__(self, other: "CharacterMap") -> "CharacterMap":
-        return CharacterMap([(tuple(a + b for a, b in zip(k1, k2)), v1 * v2)
-                             for k1, v1 in self._data.items() for k2, v2 in other._data.items()])
 
 
 class MultiplicityTable(IntMap):
@@ -288,13 +258,6 @@ def _require_dominant_integral(algebra: Algebra, lam: Weight) -> Algebra:
     return family, rank
 
 
-def weight_multiplicities(algebra: Algebra, lam: Weight) -> CharacterMap:
-    """Exact weight multiplicities of the irreducible with highest weight
-    lam, by Freudenthal's recursion."""
-    family, rank = _require_dominant_integral(algebra, lam)
-    return CharacterMap(_char_items(family, rank, lam.coords2))
-
-
 def weyl_dim(algebra: Algebra, lam: Weight) -> int:
     """Dimension by the Weyl product formula."""
     family, rank = _require_dominant_integral(algebra, lam)
@@ -307,14 +270,6 @@ def weyl_dim(algebra: Algebra, lam: Weight) -> int:
     if rem:
         raise InternalInconsistencyError("Weyl dimension is not an integer")
     return quot
-
-
-def xi(algebra: Algebra, eta: Weight) -> CharacterMap:
-    """The alternating Weyl-orbit sum of e^eta as a signed map."""
-    family, rank = _check_algebra(algebra)
-    if eta.rank != rank:
-        raise DomainError(f"weight rank {eta.rank} does not match algebra rank {rank}")
-    return CharacterMap((w.apply2(eta.coords2), w.sign) for w in weyl_elements(family, rank))
 
 
 def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:

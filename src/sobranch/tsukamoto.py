@@ -48,46 +48,6 @@ class LaurentPoly(IntMap):
     def _item(e2: int, c: int) -> str:
         return f"{c}*x^{e2 // 2}" if e2 % 2 == 0 else f"{c}*x^{e2}/2"
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp2: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * x^(exp2/2)."""
-        return cls({exp2: coeff})
-
-    coeff = IntMap.get
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._data
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly([*self._data.items(), *other._data.items()])
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + -other
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e2: -c for e2, c in self._data.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly([(e2 + f2, c * d) for e2, c in self._data.items()
-                            for f2, d in other._data.items()])
-
-
-def quantum_bracket(l: int) -> LaurentPoly:
-    """[l] = (x^l - x^-l)/(x - x^-1) = x^(l-1) + x^(l-3) + ... + x^-(l-1),
-    for integer l >= 1; l terms, all coefficients one."""
-    if type(l) is not int or l < 1:
-        raise DomainError(f"quantum_bracket needs an integer l >= 1, got {l!r}")
-    return LaurentPoly({e2: 1 for e2 in range(-2 * (l - 1), 2 * (l - 1) + 1, 4)})
-
 
 class ATuple(namedtuple("ATuple", "a l2")):
     """One admissible parameter tuple with its quantum-bracket arguments.
@@ -203,7 +163,7 @@ def extract_multiplicities(p: LaurentPoly) -> dict[int, int]:
     for e2, c in p.items():
         if e2 % 2 == 0:
             raise MalformedSeriesError(f"integral exponent {e2 // 2} present")
-        if p.coeff(-e2) != -c:
+        if p.get(-e2) != -c:
             raise MalformedSeriesError("series is not antisymmetric under negation")
         if e2 > 0:
             if c < 0:

@@ -26,7 +26,7 @@ their precondition), or through ``BranchingQuery``, the one query type every
 route answers (its ``with_k`` checks only k).  No route reads the "triple"
 case: it is the vanishing pattern the tests check the routes against.
 ``IntMap`` is the one map to non-zero integers that every route's container
-(Laurent series, characters, SO(3) multisets, branching tables) subclasses.
+(Laurent series, SO(3) multisets, branching tables) subclasses.
 """
 
 from __future__ import annotations
@@ -157,32 +157,29 @@ class IntMap:
     behind every route's sums and tables.
 
     Built from a dict or from (key, value) pairs: every value must be a
-    plain int, a subclass's ``_check(key, value)`` runs on every pair given
-    and its ``_key`` puts each key in stored form, then values are summed
-    per key and zero sums dropped.  ``items()`` is sorted by key, the
-    length counts the keys (so an empty map is falsy), and two maps are
-    equal only if they have the same type and items.  The repr joins
-    ``_item(key, value)`` of each item with ``_sep`` inside ``_brackets``,
-    or is ``_empty``.  Copies and pickles are rebuilt through ``__init__``,
-    so they pass the same checks.
+    plain int and a subclass's ``_check(key, value)`` runs on every pair
+    given, then values are summed per key and zero sums dropped.
+    ``items()`` is sorted by key, the length counts the keys (so an empty
+    map is falsy), and two maps are equal only if they have the same type
+    and items.  The repr joins ``_item(key, value)`` of each item with
+    ``_sep`` inside ``_brackets``, or is ``_empty``.  Copies and pickles are
+    rebuilt through ``__init__``, so they pass the same checks.
     """
 
     __slots__ = ("_data",)
-    _check = _key = None
+    _check = None
     _item = "{}: {}".format
     _sep, _brackets, _empty = ", ", "{{{}}}", "{}"
 
     def __init__(self, data=None) -> None:
         out: dict = {}
-        check, key_form = self._check, self._key
+        check = self._check
         for key, value in data.items() if isinstance(data, dict) else (data or ()):
             if type(value) is not int:
                 raise DomainError(f"{type(self).__name__} value {value!r} must be a plain integer")
             if check is not None:
                 check(key, value)
             if value:
-                if key_form is not None:
-                    key = key_form(key)
                 total = out.get(key, 0) + value
                 if total:
                     out[key] = total
@@ -214,9 +211,10 @@ class IntMap:
 
 
 #: inversion parities kept: 8! = 40,320, every permutation of one rank-8
-#: group (family D, n = 6), so ``oracle.xi``'s walk of it (a ``sign`` per
-#: element) keeps its own entries.  ``kostant._pair_terms`` reads one per
-#: placement: 36 on verify B n=3 max=1 ``all``, none without kostant-full
+#: group (family D, n = 6), so a walk of it with a ``sign`` per element (the
+#: tests' alternating orbit sums) keeps its own entries.
+#: ``kostant._pair_terms`` reads one per placement: 36 on verify B n=3 max=1
+#: ``all``, none without kostant-full
 _PARITIES = 40_320
 
 
@@ -249,21 +247,6 @@ class SignedPermutation(namedtuple("SignedPermutation", "perm flips")):
     def _make(cls, fields: Iterable) -> "SignedPermutation":
         return cls(*fields)
 
-    @classmethod
-    def identity(cls, rank: int) -> "SignedPermutation":
-        return cls(tuple(range(rank)), frozenset())
-
-    @classmethod
-    def reflection(cls, rank: int, index: int) -> "SignedPermutation":
-        """Sign change of the single coordinate ``index`` (0-based)."""
-        return cls(tuple(range(rank)), frozenset((index,)))
-
-    @classmethod
-    def transposition(cls, rank: int, i: int, j: int) -> "SignedPermutation":
-        p = list(range(rank))
-        p[i], p[j] = p[j], p[i]
-        return cls(tuple(p), frozenset())
-
     @property
     def rank(self) -> int:
         return len(self.perm)
@@ -281,19 +264,6 @@ class SignedPermutation(namedtuple("SignedPermutation", "perm flips")):
             j = self.perm[i]
             out[j] = -c if j in self.flips else c
         return tuple(out)
-
-    def apply(self, w: Weight) -> Weight:
-        if w.rank != self.rank:
-            raise DomainError(f"rank mismatch: element has rank {self.rank}, weight {w.rank}")
-        return Weight(self.apply2(w.coords2))
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other, i.e. (self.compose(other)).apply == self.apply(other.apply(.))."""
-        if other.rank != self.rank:
-            raise DomainError("rank mismatch in composition")
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.rank))
-        flips = self.flips.symmetric_difference(self.perm[j] for j in other.flips)
-        return SignedPermutation(perm, frozenset(flips))
 
 
 #: sign pattern lists kept, one per (family, rank); every Kostant pair
@@ -326,8 +296,8 @@ def sign_patterns(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...]], 
     return tuple(patterns)
 
 
-#: whole Weyl groups kept; only ``oracle.xi``, the tests and the
-#: benchmark's set-up (one group per (family, n), two at most) build them
+#: whole Weyl groups kept; no route builds one, only the tests and the
+#: benchmark's set-up (one group per (family, n), two at most)
 _WEYL_GROUPS = 2
 
 
@@ -380,6 +350,12 @@ def k_family(family: str) -> str:
     return FAMILY_D if family == FAMILY_B else FAMILY_B
 
 
+def check_rank(name: str, w: Weight, rank: int) -> None:
+    """Raise DomainError unless the weight called ``name`` has this rank."""
+    if w.rank != rank:
+        raise DomainError(f"{name} must have rank {rank}, got {w.rank}")
+
+
 #: valid pairs remembered by ``check_pair``; a verify sweep checks a pair
 #: inside the routes and at each method's bind, never per k
 _CHECKED_PAIRS = 64
@@ -396,10 +372,8 @@ def check_pair(family: str, n: int, lam: Weight, mu: Weight) -> None:
     ``_CHECKED_PAIRS`` valid pairs; an error is never memoised, so an
     invalid pair raises on every call."""
     lam_rank = g_rank(family, n)
-    if mu.rank != n:
-        raise DomainError(f"mu must have rank {n}, got {mu.rank}")
-    if lam.rank != lam_rank:
-        raise DomainError(f"lam must have rank {lam_rank}, got {lam.rank}")
+    check_rank("mu", mu, n)
+    check_rank("lam", lam, lam_rank)
     if not lam.is_integral or not mu.is_integral:
         raise DomainError("highest weights must have integral coordinates")
     if not is_dominant(family, lam):
@@ -489,11 +463,6 @@ class BranchingQuery(namedtuple("BranchingQuery", "family n lam mu k")):
     @classmethod
     def _make(cls, fields: Iterable) -> "BranchingQuery":
         return cls(*fields)
-
-    def normalized(self) -> "BranchingQuery":
-        """The query of the tilde-normalized pair (``normalize_pair``)."""
-        lam, mu = normalize_pair(self.family, self.lam, self.mu)
-        return self if lam is self.lam and mu is self.mu else self._replace(lam=lam, mu=mu)
 
 
 def normalize_pair(family: str, lam: Weight, mu: Weight) -> tuple[Weight, Weight]:

@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 import pytest
+from algebra_reference import weight_multiplicities, xi
 
 from sobranch import cli
 from sobranch.clebsch_gordan import (
@@ -19,7 +20,7 @@ from sobranch.clebsch_gordan import (
 )
 from sobranch.errors import CoincidencePatternError
 from sobranch.kostant import multiplicity_kostant_full, multiplicity_kostant_reduced
-from sobranch.oracle import branch_oracle, weight_multiplicities, weyl_dim, xi
+from sobranch.oracle import branch_oracle, weyl_dim
 from sobranch.partition import count_sigma_prime, count_vector_partitions
 from sobranch.tsukamoto import extract_multiplicities, tsukamoto_generating_function
 from sobranch.u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -602,6 +603,20 @@ def test_bad_argv_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+def test_decompose_checks_lam_before_it_builds_a_weight_of_rank_n(capsys):
+    # a rank-n weight at n = 10**7 would hold 80 MB of pointers; lam's rank
+    # is wrong, so the usage error comes before any of it is allocated
+    n = 10**7
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "decompose", "--family", "B", "--n", str(n), "--lam", "1,0,0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: lam must have rank {n + 1}, got 3\n")
+    assert peak < 8 * 2**20, peak
 
 
 def parse_with_every_command(capsys, argv):

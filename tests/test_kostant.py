@@ -19,11 +19,13 @@ from sobranch.weights import (
     interlace,
     iter_dominant_weights,
     make_root_data,
+    normalize_pair,
     restrict,
     tilde,
     weyl_elements,
 )
 
+from algebra_reference import apply, compose, identity, reflection, transposition
 from partition_reference import scalar_partition_function
 
 w = Weight.of_ints
@@ -86,7 +88,7 @@ def test_reduced_equals_full_on_interlacing_grid():
 def scalar_reduced_sum(q):
     """The two-term (B) or four-term (D) reduced sum of the tilde-normalized
     query, each term one count of the scalar reference."""
-    q = q.normalized()
+    q = BranchingQuery(q.family, q.n, *normalize_pair(q.family, q.lam, q.mu), q.k)
     sigma = scalar_partition_function(make_root_data(q.family, q.n).sigma)
     base = restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))
     if q.family == "B":
@@ -115,7 +117,7 @@ def test_reduced_sum_matches_scalar_counts(family, n, bound):
         k_top = sum(abs(c) for c in lam.to_ints())
         for mu in mus:
             q = BranchingQuery(family, n, lam, mu, 0)
-            normal = q.normalized()
+            normal = BranchingQuery(family, n, *normalize_pair(family, lam, mu), 0)
             if not interlace("simple", family, normal.lam, normal.mu):
                 with pytest.raises(InterlacingError):
                     multiplicity_kostant_reduced(q)
@@ -128,7 +130,7 @@ def test_reduced_sum_matches_scalar_counts(family, n, bound):
 
 
 def test_weyl_lemma_support_family_B():
-    allowed = {SignedPermutation.identity(3), SignedPermutation.reflection(3, 2)}
+    allowed = {identity(3), reflection(3, 2)}
     for q in grid_queries("B", 2, 2):
         if q.mu.coords2[-1] >= 0 and interlace("simple", "B", q.lam, q.mu):
             for omega, _, _ in kostant_terms(q):
@@ -136,10 +138,9 @@ def test_weyl_lemma_support_family_B():
 
 
 def test_weyl_lemma_support_family_D():
-    identity = SignedPermutation.identity(3)
     flip_two = SignedPermutation(tuple(range(3)), frozenset({1, 2}))
-    swap = SignedPermutation.transposition(3, 1, 2)
-    allowed = {identity, flip_two, swap, flip_two.compose(swap)}
+    swap = transposition(3, 1, 2)
+    allowed = {identity(3), flip_two, swap, compose(flip_two, swap)}
     for q in grid_queries("D", 1, 2):
         if q.lam.coords2[-1] >= 0 and interlace("simple", "D", q.lam, q.mu):
             for omega, _, _ in kostant_terms(q):
@@ -179,7 +180,7 @@ def reference_terms(q):
     lam_rho = q.lam + rd.rho_g
     mu_ext = Weight(q.mu.coords2 + (2 * q.k,))
     for omega in weyl_elements(q.family, rd.g_rank):
-        target = restrict(q.family, omega.apply(lam_rho) - rd.rho_g) - mu_ext
+        target = restrict(q.family, apply(omega, lam_rho) - rd.rho_g) - mu_ext
         value = scalar_partition_function(rd.sigma).count(target.coords2)
         if value:
             yield omega, omega.sign, value
@@ -203,7 +204,7 @@ def weyl_points(family, n, lam):
     rd = make_root_data(family, n)
     lam_rho = lam + rd.rho_g
     return [
-        (omega, restrict(family, omega.apply(lam_rho) - rd.rho_g).coords2)
+        (omega, restrict(family, apply(omega, lam_rho) - rd.rho_g).coords2)
         for omega in weyl_elements(family, rd.g_rank)
     ]
 
@@ -271,7 +272,7 @@ def test_orbit_and_binding_caches_are_bounded():
     assert oracle._orbit_table.cache_info().maxsize == oracle._ORBIT_TABLES == 256
     assert oracle._chamber.cache_info().maxsize == oracle._CHAMBERS == 32
     # built on the memoised dominant multiplicities; only whole weight
-    # systems (weight_multiplicities) read it
+    # systems (the tests' weight_multiplicities) read it
     assert not hasattr(oracle._char_items, "cache_info")
     assert u3_so3._so3_content.cache_info().maxsize is not None
     assert u3_so3._restriction_content.cache_info().maxsize is not None

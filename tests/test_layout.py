@@ -1,10 +1,11 @@
 """The routes stay independent: each module imports only the shared base
 (weights, partition, errors) it is allowed, never another route, and no
 module imports the tests' references (the scalar partition count, the
-Freudenthal recursion over every positive root); Tsukamoto names no
-interlacing test, so its zeros are its own.  Every memo in the package is
-bounded, and every value type is a validated named tuple: no module imports
-dataclasses."""
+Freudenthal recursion over every positive root, the tests' algebra);
+Tsukamoto names no interlacing test, so its zeros are its own.  Every memo
+in the package is bounded, every value type is a validated named tuple (no
+module imports dataclasses), and the package ships no public function or
+class that it does not read itself."""
 
 import ast
 from pathlib import Path
@@ -42,11 +43,11 @@ def test_module_imports_only_its_allowed_layers(module):
     assert relative_imports(module) <= ALLOWED[module], module
 
 
-def names(source: str) -> set[str]:
-    """Every identifier ``source`` uses: names, attributes, imported names
-    and their aliases."""
+def names(source: str | ast.AST) -> set[str]:
+    """Every identifier ``source`` (text or a syntax tree) uses: names,
+    attributes, imported names and their aliases."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -99,6 +100,7 @@ def test_no_module_imports_the_tests(path):
     ("from partition_reference import ScalarPartitionFunction\n", True),
     ("import tests.partition_reference as reference\n", True),
     ("from freudenthal_reference import reference_dominant_mults\n", True),
+    ("from algebra_reference import xi\n", True),
     ("def f():\n    import conftest\n", True),
     ("from .partition import partition_function\n", False),
     ("import itertools\n", False),
@@ -204,3 +206,43 @@ def test_no_module_imports_dataclasses(path):
 ])
 def test_dataclass_scan_flags_every_import_form(source, flagged):
     assert bool(dataclass_imports(source)) == flagged
+
+
+#: public definitions that nothing in the package reads: the paper's SU(2)
+#: tensor lemma, which criteria 4-6 reproduce
+UNREAD_ALLOWED = {"su2_tensor_multiplicity"}
+
+
+def unread_definitions(sources: dict[str, str]) -> set[str]:
+    """The public top-level functions and classes of ``sources`` (module
+    name -> text) that no module reads outside their own definition;
+    ``__init__``, which only re-exports, is not read."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        if module == "__init__":
+            continue
+        for node in ast.parse(source).body:
+            own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            defined |= {name for name in own if not name.startswith("_")}
+            read |= names(node) - own
+    return defined - read
+
+
+def test_every_public_definition_is_read_in_the_package():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unread_definitions(sources) == UNREAD_ALLOWED
+
+
+@pytest.mark.parametrize("sources, flagged", [
+    ({"a": "def f(): pass\n"}, {"f"}),
+    ({"a": "def f(): pass\n", "b": "from .a import f\n"}, set()),
+    ({"a": "def f(): pass\n", "b": "from . import a\ng = a.f\n"}, set()),
+    ({"a": "def f(): pass\ndef g(): return f()\n"}, {"g"}),
+    ({"a": "def f(n): return f(n - 1)\n"}, {"f"}),
+    ({"a": "class C:\n    def copy(self): return C()\n"}, {"C"}),
+    ({"a": "class C: pass\n", "__init__": "from .a import C\n__all__ = ['C']\n"}, {"C"}),
+    ({"a": "def _f(): pass\nclass _C: pass\n"}, set()),
+    ({"a": "def f():\n    def g(): pass\n    return g\nf()\n"}, set()),
+])
+def test_unread_scan_flags_every_form(sources, flagged):
+    assert unread_definitions(sources) == flagged

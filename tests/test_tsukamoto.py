@@ -12,29 +12,30 @@ from sobranch.tsukamoto import (
     enumerate_atuples,
     extract_multiplicities,
     multiplicity_tsukamoto,
-    quantum_bracket,
     tsukamoto_generating_function,
 )
 from sobranch.weights import Weight, interlace, iter_dominant_weights, make_root_data, tilde
+
+from algebra_reference import poly_add, poly_mul, poly_sub, quantum_bracket
 
 w = Weight.of_ints
 
 
 def mono(exp2, coeff=1):
-    return LaurentPoly.monomial(exp2, coeff)
+    return LaurentPoly({exp2: coeff})
 
 
 def pair(l2):
-    return mono(l2) - mono(-l2)
+    return poly_sub(mono(l2), mono(-l2))
 
 
 def test_laurent_basics():
-    p = mono(2) + mono(-2)
-    assert p.coeff(2) == 1 and p.coeff(0) == 0
-    assert (p - p).is_zero
-    assert p * LaurentPoly.one() == p
-    assert mono(1) * mono(1) == mono(2)
-    assert (mono(2) - mono(2)).is_zero
+    p = poly_add(mono(2), mono(-2))
+    assert p.get(2) == 1 and p.get(0) == 0
+    assert not poly_sub(p, p)
+    assert poly_mul(p, LaurentPoly({0: 1})) == p
+    assert poly_mul(mono(1), mono(1)) == mono(2)
+    assert not poly_sub(mono(2), mono(2))
     with pytest.raises(DomainError):
         LaurentPoly({0.5: 1})
     with pytest.raises(DomainError):
@@ -54,19 +55,19 @@ poly_strategy = st.lists(
 
 @given(poly_strategy, poly_strategy, poly_strategy)
 def test_laurent_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) * c == a * c + b * c
-    assert (a * b) * c == a * (b * c)
+    assert poly_add(a, b) == poly_add(b, a)
+    assert poly_mul(a, b) == poly_mul(b, a)
+    assert poly_mul(poly_add(a, b), c) == poly_add(poly_mul(a, c), poly_mul(b, c))
+    assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
 
 
 def test_quantum_bracket():
-    assert quantum_bracket(1) == LaurentPoly.one()
-    assert quantum_bracket(2) == mono(2) + mono(-2)
-    assert quantum_bracket(4) == mono(6) + mono(2) + mono(-2) + mono(-6)
+    assert quantum_bracket(1) == LaurentPoly({0: 1})
+    assert quantum_bracket(2) == poly_add(mono(2), mono(-2))
+    assert quantum_bracket(4) == poly_add(mono(6), mono(2), mono(-2), mono(-6))
     # telescoping: (x - x^-1) * [l] == x^l - x^-l
     for l in range(1, 8):
-        assert pair(2) * quantum_bracket(l) == pair(2 * l)
+        assert poly_mul(pair(2), quantum_bracket(l)) == pair(2 * l)
     with pytest.raises(DomainError):
         quantum_bracket(0)
     with pytest.raises(DomainError):
@@ -161,7 +162,7 @@ def test_generating_function_examples():
     assert tsukamoto_generating_function("B", w([0, 0, 0]), w([0, 0])) == pair(1)
     assert tsukamoto_generating_function("D", w([1, 0, 0]), w([0])) == pair(3)
     # triple interlacing fails: zero series
-    assert tsukamoto_generating_function("B", w([1, 0, 0]), w([2, 0])).is_zero
+    assert not tsukamoto_generating_function("B", w([1, 0, 0]), w([2, 0]))
     with pytest.raises(DomainError):
         tsukamoto_generating_function("B", w([0, 1, 0]), w([0, 0]))
 
@@ -177,24 +178,24 @@ def test_denominator_exactness():
         for at in enumerate_atuples(family, lam, mu):
             assembled = pair(at.l2[-1])
             for l2 in at.l2[:-1]:
-                assembled = assembled * quantum_bracket(l2 // 2)
+                assembled = poly_mul(assembled, quantum_bracket(l2 // 2))
             for _ in range(n):
-                assembled = assembled * pair(2)
-            raw = LaurentPoly.one()
+                assembled = poly_mul(assembled, pair(2))
+            raw = LaurentPoly({0: 1})
             for l2 in at.l2:
-                raw = raw * pair(l2)
+                raw = poly_mul(raw, pair(l2))
             assert assembled == raw
 
 
 def reference_series(family, lam, mu):
     """The series as a sum of LaurentPoly products of quantum brackets."""
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     if interlace("triple", family, lam, mu):
         for at in enumerate_atuples(family, lam, mu):
             term = pair(at.l2[-1])
             for l2 in at.l2[:-1]:
-                term = term * quantum_bracket(l2 // 2)
-            total = total + term
+                term = poly_mul(term, quantum_bracket(l2 // 2))
+            total = poly_add(total, term)
     return total
 
 
@@ -212,9 +213,9 @@ def test_window_sum_series_matches_bracket_products(family, n, bound):
 def test_bracket_products_do_not_depend_on_argument_order():
     # so the memo may key them by the sorted arguments
     for ls in ((1, 2, 3), (2, 2, 4, 1), (3, 1, 3, 2, 5)):
-        want = LaurentPoly.one()
+        want = LaurentPoly({0: 1})
         for l in ls:
-            want = want * quantum_bracket(l)
+            want = poly_mul(want, quantum_bracket(l))
         for order in set(itertools.permutations(ls)):
             c = tsukamoto._bracket_product(tuple(2 * l for l in order))
             top = 2 * (len(c) - 1)
@@ -223,18 +224,18 @@ def test_bracket_products_do_not_depend_on_argument_order():
 
 def test_extract_multiplicities():
     assert extract_multiplicities(pair(3)) == {1: 1}
-    series = LaurentPoly({1: 2, -1: -2}) + pair(5)
+    series = poly_add(LaurentPoly({1: 2, -1: -2}), pair(5))
     assert extract_multiplicities(series) == {0: 2, 2: 1}
-    assert extract_multiplicities(LaurentPoly.zero()) == {}
+    assert extract_multiplicities(LaurentPoly()) == {}
 
 
 def test_extract_rejects_malformed_series():
     with pytest.raises(MalformedSeriesError):
         extract_multiplicities(mono(2))  # integral exponent
     with pytest.raises(MalformedSeriesError):
-        extract_multiplicities(mono(1) + mono(-1))  # symmetric part
+        extract_multiplicities(poly_add(mono(1), mono(-1)))  # symmetric part
     with pytest.raises(MalformedSeriesError):
-        extract_multiplicities(mono(1, -1) + mono(-1, 1))  # negative m_0
+        extract_multiplicities(poly_add(mono(1, -1), mono(-1, 1)))  # negative m_0
 
 
 def test_multiplicity_examples():
