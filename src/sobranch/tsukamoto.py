@@ -1,22 +1,24 @@
 """Tsukamoto's implicit branching law via exact Laurent-polynomial
 generating functions.
 
-For each admissible tuple of summation parameters the generating function
-contributes a product of quantum brackets [l] = x^{l-1} + x^{l-3} + ... +
-x^{-(l-1)} times one antisymmetric two-term factor with half-integral
-exponent; the branching multiplicity of the SO(3) label k is the
-coefficient of x^{k+1/2} of the total.  A product of brackets is kept as a
-dense coefficient list, and multiplying it by [l] replaces each coefficient
-by the sum of a window of l of them, read off prefix sums.  The product
-commutes, so it is memoised by the sorted (doubled) bracket arguments: a
-sweep meets few distinct ones.  Every tuple's terms go into one dict, made a
-``LaurentPoly`` once per series.
+For each admissible tuple a_0 >= a_1 >= ... >= a_n of summation parameters
+the generating function contributes a product of quantum brackets [l] =
+x^{l-1} + x^{l-3} + ... + x^{-(l-1)} times one antisymmetric two-term factor
+with half-integral exponent; the branching multiplicity of the SO(3) label k
+is the coefficient of x^{k+1/2} of the total.  Bracket j reads only a_{j-1}
+and a_j, and the two-term factor only a_n, so the sum is a transfer over the
+a-tuple boxes: each value of a_j keeps the bracket products of the partial
+tuples ending there, summed into a dense coefficient list, and a step
+multiplies it by [l] (width-l window sums off prefix sums) into every value
+of the next box.  That is sum_j |box_j| |box_j+1| steps, where enumerating
+takes one per tuple, the product of the box sizes; ``enumerate_atuples``
+lists the tuples from the same boxes and brackets.
 
 The series of a pair (lam, mu) carries every label k at once, so
 ``multiplicity_tsukamoto`` reads k off a whole row k -> m_k that
 ``_pair_row`` binds once per pair into a bounded LRU, like both Kostant
 sums; every pair, a family D lam with a negative last coordinate included,
-is built from its own a-tuples, and their boxes alone make a series zero.  A
+is built from its own boxes, and an empty box alone makes a series zero.  A
 pair whose series is zero keeps an empty row, and a pair that raises is not
 kept (it raises again on the next call).
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterator
+from operator import add, sub
 
 from .errors import DomainError, InternalInconsistencyError, MalformedSeriesError
 from .weights import FAMILY_B, BranchingQuery, IntMap, Weight, check_pair
@@ -55,87 +57,93 @@ class ATuple(namedtuple("ATuple", "a l2")):
     ``a`` is weakly decreasing with a[-1] >= 0 inside the box constraints of
     the relevant family; ``l2`` holds the doubled bracket arguments, the
     first len(a) of them even and >= 2, the final one odd and >= 1 (these
-    bounds are forced by the boxes and asserted during enumeration).
+    bounds are forced by the boxes and asserted at every step).
     """
 
     __slots__ = ()
 
 
-def _check_atuple(a: tuple[int, ...], l2: tuple[int, ...]) -> ATuple:
-    if any(a[i] < a[i + 1] for i in range(len(a) - 1)) or a[-1] < 0:
-        raise InternalInconsistencyError(f"enumerated tuple {a} is not admissible")
-    if any(v < 2 or v % 2 for v in l2[:-1]) or l2[-1] < 1 or l2[-1] % 2 == 0:
-        raise InternalInconsistencyError(f"bracket arguments {l2} out of range for {a}")
-    return ATuple(a, l2)
-
-
-def _boxes_to_tuples(lows1, lows2, highs1, highs2) -> list[tuple[int, ...]]:
-    """Every tuple of even doubled coordinates with max(lows1[i], lows2[i])
-    <= a[i] <= min(highs1[i], highs2[i]); none at the first empty box (a low
-    above its high), before any product is taken.  Both families' boxes are
-    stacked, each below the one before it (low(a_{i-1}) >= mu_{i-1} >=
-    high(a_i) under family B, low(a_{i-1}) >= lam_i >= high(a_i) under family
-    D), so every such tuple is weakly decreasing."""
+def _boxes(lows1, lows2, highs1, highs2) -> list[range]:
+    """The boxes max(lows1[i], lows2[i]) <= a_i <= min(highs1[i], highs2[i])
+    of even doubled coordinates, up to the first empty one (a low above its
+    high), after which no bound is read.  Both families' boxes are stacked,
+    each below the one before it (low(a_{i-1}) >= mu_{i-1} >= high(a_i)
+    under family B, with mu_0 = lam_1, and low(a_{i-1}) >= lam_i >=
+    high(a_i) under family D), so every tuple in them is weakly
+    decreasing."""
     boxes = []
     for p, q, r, s in zip(lows1, lows2, highs1, highs2):
         lo, hi = p if p > q else q, r if r < s else s  # max and min cost a call each
-        if lo > hi:
-            return []
         boxes.append(range(lo, hi + 1, 2))
-    return list(itertools.product(*boxes))
+        if lo > hi:
+            break
+    return boxes
 
 
-def _atuples_B(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:
-    # lam, mu and every box, A and a below are doubled coordinates
-    n = len(mu)
-    L = lam + (0, 0)  # L[i - 1] is lam_i, 1 <= i <= n + 3
-    M = lam[:1] + mu  # M[i] is mu_i, with mu_0 = lam_1
-    # box i: max(mu_i, lam_i+2) <= a_i <= min(mu_i-1, lam_i), |mu_n| for mu_n
-    for a in _boxes_to_tuples(mu[:-1] + (abs(mu[-1]),), L[2:n + 2], M[:n], L[:n]):
-        A = lam[:1] + a  # A[i] is a_i, with a_0 = lam_1
-        l2 = [min(L[i - 1], A[i - 1]) - max(L[i], A[i]) + 2 for i in range(1, n + 1)]
-        yield _check_atuple(tuple([v >> 1 for v in a]), tuple(l2) + (min(L[n], A[n]) + 1,))
+def _chain(family: str, lam: tuple[int, ...], mu: tuple[int, ...]):
+    """(boxes, c) for the pair, in doubled coordinates: the tuples are a_0 >=
+    ... >= a_n with a_j in boxes[j]; bracket j (1 <= j <= n) is
+    ``_head(c[j-1], c[j], a_{j-1}, a_j)`` and the two-term factor
+    ``_tail(c[n], a_n)``."""
+    head = lam[:1]
+    if family == FAMILY_B:
+        # a_0 = lam_1 (not in ATuple.a), then box i: max(mu_i, lam_{i+2}) <=
+        # a_i <= min(mu_{i-1}, lam_i), |mu_n| for mu_n; c is lam
+        m = mu[:-1]
+        return _boxes(head + m + (abs(mu[-1]),), lam[1:] + (0,), head * 2 + m, head + lam[:-1]), lam
+    # box i (1 <= i <= n + 1, boxes[i - 1]): max(mu_i, lam_{i+1}) <= a_i <=
+    # min(mu_{i-2}, lam_i), |lam_{n+2}| for mu_{n+1} and mu_0 = mu_{-1} =
+    # lam_1; c is (mu_0, mu_1, ..., mu_n)
+    return _boxes(mu + (abs(lam[-1]),), lam[1:], head * 2 + mu[:-1], lam[:-1]), head + mu
 
 
-def _atuples_D(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[ATuple]:
-    # lam, mu and every box and a below are doubled coordinates
-    n = len(mu)
-    L = lam + (0,)  # L[i - 1] is lam_i, 1 <= i <= n + 3
-    M = lam[:1] * 2 + mu + (0,)  # M[i + 1] is mu_i, with mu_0 = mu_-1 = lam_1, mu_n+1 = 0
-    # box i: max(mu_i, lam_i+1) <= a_i <= min(mu_i-2, lam_i), |lam_n+2| for mu_n+1
-    for a in _boxes_to_tuples(mu + (abs(L[n + 1]),), L[1:n + 2], M[:n + 1], L[:n + 1]):
-        # a[i - 1] is a_i, 1 <= i <= n + 1
-        l2 = [min(M[i], a[i - 1]) - max(M[i + 1], a[i]) + 2 for i in range(1, n + 1)]
-        yield _check_atuple(tuple([v >> 1 for v in a]), tuple(l2) + (min(M[n + 1], a[n]) + 1,))
+def _head(hi: int, lo: int, prev: int, cur: int) -> int:
+    """Doubled argument of the bracket [min(hi, prev) - max(lo, cur) + 1]
+    between consecutive parameters prev >= cur."""
+    l2 = (hi if hi < prev else prev) - (lo if lo > cur else cur) + 2
+    if cur > prev or l2 < 2 or l2 & 1:
+        raise InternalInconsistencyError(f"doubled step {prev} -> {cur} gives doubled bracket {l2}")
+    return l2
+
+
+def _tail(hi: int, a: int) -> int:
+    """Doubled argument of the two-term factor after the last parameter a."""
+    l2 = (hi if hi < a else a) + 1
+    if a < 0 or l2 < 1 or not l2 & 1:
+        raise InternalInconsistencyError(f"doubled last parameter {a} gives doubled factor {l2}")
+    return l2
 
 
 def enumerate_atuples(family: str, lam: Weight, mu: Weight) -> tuple[ATuple, ...]:
     """All admissible parameter tuples for the given highest-weight pair;
     a pair that fails ``check_pair`` (n the rank of mu) raises DomainError."""
     check_pair(family, mu.rank, lam, mu)
-    if family == FAMILY_B:
-        return tuple(_atuples_B(lam.coords2, mu.coords2))
-    return tuple(_atuples_D(lam.coords2, mu.coords2))
+    boxes, c = _chain(family, lam.coords2, mu.coords2)
+    return tuple(
+        ATuple(tuple([v >> 1 for v in (a[1:] if family == FAMILY_B else a)]),
+               tuple([*map(_head, c, c[1:], a, a[1:]), _tail(c[-1], a[-1])]))
+        for a in itertools.product(*boxes)
+    )
 
 
-#: bracket products kept, one per sorted tuple of doubled bracket
-#: arguments; the verify sweeps of B and D up to n = 4, max = 3 meet at most
-#: 7, and B n = 3, max = 5 meets 16
-_BRACKET_PRODUCTS = 32
+def _times_bracket(s: list[int], l: int) -> list[int]:
+    """The coefficient list s (step 2 in the exponent, centred on 0) times
+    [l]: each new coefficient is the sum of a window of l old ones, read
+    off the prefix sums of s padded with l - 1 zeros on both sides."""
+    if len(s) == 1:
+        return s * l
+    pad = [0] * (l - 1)
+    prefix = [*itertools.accumulate(pad + s + pad, initial=0)]
+    return [*map(sub, prefix[l:], prefix)]
 
 
-@lru_cache(maxsize=_BRACKET_PRODUCTS)
-def _bracket_product(l2s: tuple[int, ...]) -> tuple[int, ...]:
-    """prod_i [l_i] for the doubled arguments l2s = (2 l_1, 2 l_2, ...), as its
-    coefficient tuple c, c[j] the coefficient of x^(d - 2j) with d = sum_i
-    (l_i - 1).  Multiplying by [l] makes each new coefficient the sum of a
-    window of l old ones, taken off prefix sums."""
-    c = [1]
-    for l in (l2 // 2 for l2 in l2s):
-        prefix = list(itertools.accumulate(c, initial=0))
-        width = len(c)
-        c = [prefix[min(j + 1, width)] - prefix[max(j + 1 - l, 0)] for j in range(width + l - 1)]
-    return tuple(c)
+def _add_centred(p: list[int], q: list[int]) -> list[int]:
+    """The sum of two coefficient lists centred on 0 whose lengths have the
+    same parity."""
+    if len(p) < len(q):
+        p, q = q, p
+    i = (len(p) - len(q)) >> 1
+    return [*p[:i], *map(add, p[i:i + len(q)], q), *p[i + len(q):]]
 
 
 def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> LaurentPoly:
@@ -143,16 +151,41 @@ def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> Laure
     factor x^(l/2) - x^(-l/2); the zero polynomial where there is no
     admissible tuple.  The a-tuple boxes alone decide that: no interlacing
     test is taken, so the vanishing pattern (triple interlacing) is a result
-    the sweeps check, not an input.  ``enumerate_atuples`` rejects an
-    invalid pair with DomainError."""
+    the sweeps check, not an input.  An invalid pair raises DomainError.
+
+    ``states`` holds (a, s) for each value a of the current box: s sums the
+    bracket products of the partial tuples ending at a, s[j] the coefficient
+    of x^(len(s) - 1 - 2j).  The partial tuples' degrees differ in parity, so
+    each a keeps up to two lists, one per parity of len(s)."""
+    check_pair(family, mu.rank, lam, mu)
+    boxes, c = _chain(family, lam.coords2, mu.coords2)
+    if not boxes[-1]:  # an empty box admits no tuple
+        return LaurentPoly()
+    states = [(a, [1]) for a in boxes[0]]
+    for hi, lo, box in zip(c, c[1:], boxes[1:]):
+        nxt = []
+        for cur in box:
+            odd = even = None
+            for prev, s in states:
+                l = _head(hi, lo, prev, cur) >> 1
+                if l > 1:  # [1] is the identity; no list is changed once made
+                    s = _times_bracket(s, l)
+                if len(s) & 1:
+                    odd = s if odd is None else _add_centred(odd, s)
+                else:
+                    even = s if even is None else _add_centred(even, s)
+            if odd is not None:
+                nxt.append((cur, odd))
+            if even is not None:
+                nxt.append((cur, even))
+        states = nxt
     total: dict[int, int] = {}
-    for at in enumerate_atuples(family, lam, mu):
-        c = _bracket_product(tuple(sorted(at.l2[:-1])))
-        top, last = 2 * (len(c) - 1), at.l2[-1]
-        for j, cj in enumerate(c):
-            e2 = top - 4 * j  # doubled exponent of c[j]
+    for a, s in states:
+        last, e2 = _tail(c[-1], a), 2 * len(s) - 2  # e2: the doubled exponent of s[0]
+        for cj in s:
             total[e2 + last] = total.get(e2 + last, 0) + cj
             total[e2 - last] = total.get(e2 - last, 0) - cj
+            e2 -= 4
     return LaurentPoly(total)
 
 

@@ -258,7 +258,6 @@ def test_orbit_and_binding_caches_are_bounded():
     assert kostant._sigma.cache_info().maxsize is not None
     assert partition._bind.cache_info().maxsize is not None
     assert tsukamoto._pair_row.cache_info().maxsize == tsukamoto._PAIR_ROWS == 128
-    assert tsukamoto._bracket_product.cache_info().maxsize == tsukamoto._BRACKET_PRODUCTS == 32
     assert weights.check_pair.cache_info().maxsize is not None
     assert weights.weyl_elements.cache_info().maxsize is not None
     assert weights.sign_patterns.cache_info().maxsize is not None

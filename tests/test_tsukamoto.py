@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sobranch import cli, tsukamoto, weights
-from sobranch.errors import DomainError, MalformedSeriesError
+from sobranch.errors import DomainError, InternalInconsistencyError, MalformedSeriesError
 from sobranch.kostant import BranchingQuery, multiplicity_kostant_full
 from sobranch.tsukamoto import (
     LaurentPoly,
@@ -129,16 +129,20 @@ def test_no_atuple_off_the_triple_pattern(family, n, bound):
 @pytest.mark.parametrize("family, n, bound", ATUPLE_GRIDS)
 def test_the_boxes_are_stacked(monkeypatch, family, n, bound):
     # each box lies below the one before it, so the tuples in the boxes are
-    # weakly decreasing without a test
-    seen = []
-    monkeypatch.setattr(tsukamoto, "_boxes_to_tuples", lambda *box: seen.append(box) or [])
+    # weakly decreasing without a test; the series and the enumeration both
+    # read the same boxes
+    seen = {}
+    boxes = tsukamoto._boxes
     rank = make_root_data(family, n).g_rank
     mus = list(iter_dominant_weights(weights.k_family(family), n, bound))
-    for lam in iter_dominant_weights(family, rank, bound):
-        for mu in mus:
-            enumerate_atuples(family, lam, mu)
-    assert seen
-    for lows1, lows2, highs1, highs2 in seen:
+    for entry in (enumerate_atuples, tsukamoto_generating_function):
+        calls = seen[entry.__name__] = []
+        monkeypatch.setattr(tsukamoto, "_boxes", lambda *box: calls.append(box) or boxes(*box))
+        for lam in iter_dominant_weights(family, rank, bound):
+            for mu in mus:
+                entry(family, lam, mu)
+    assert seen["enumerate_atuples"] == seen["tsukamoto_generating_function"] != []
+    for lows1, lows2, highs1, highs2 in seen["enumerate_atuples"]:
         assert len(lows1) == len(lows2) == len(highs1) == len(highs2)
         lows, highs = [*map(max, lows1, lows2)], [*map(min, highs1, highs2)]
         assert all(lo >= hi for lo, hi in zip(lows, highs[1:])), (lows, highs)
@@ -148,13 +152,15 @@ def test_an_empty_box_gives_no_tuple():
     # every tuple in the stacked boxes, and none where any box is empty, the
     # last one included; box i is max(lows1[i], lows2[i]) <= a_i <=
     # min(highs1[i], highs2[i]), in doubled coordinates
-    boxes = tsukamoto._boxes_to_tuples
-    assert boxes((2, 0), (0, 0), (4, 2), (6, 2)) == [(2, 0), (2, 2), (4, 0), (4, 2)]
-    assert boxes((0, 0, 0), (0, 0, 10), (18, 18, 8), (18, 18, 18)) == []
-    assert boxes((6, 0), (0, 0), (18, 18), (4, 18)) == []
-    assert boxes((), (), (), ()) == [()]
-    # the first empty box ends the walk: no bound after it is read
-    assert boxes(iter((4, "x")), (0, 0), (2, 2), (2, 2)) == []
+    def tuples(*bounds):
+        return list(itertools.product(*tsukamoto._boxes(*bounds)))
+
+    assert tuples((2, 0), (0, 0), (4, 2), (6, 2)) == [(2, 0), (2, 2), (4, 0), (4, 2)]
+    assert tuples((0, 0, 0), (0, 0, 10), (18, 18, 8), (18, 18, 18)) == []
+    assert tuples((6, 0), (0, 0), (18, 18), (4, 18)) == []
+    assert tuples((), (), (), ()) == [()]
+    # the first empty box ends the boxes: no bound after it is read
+    assert tsukamoto._boxes(iter((4, "x")), (0, 0), (2, 2), (2, 2)) == [range(4, 3, 2)]
 
 
 def test_generating_function_examples():
@@ -210,16 +216,74 @@ def test_window_sum_series_matches_bracket_products(family, n, bound):
             family, lam, mu), (lam, mu)
 
 
-def test_bracket_products_do_not_depend_on_argument_order():
-    # so the memo may key them by the sorted arguments
-    for ls in ((1, 2, 3), (2, 2, 4, 1), (3, 1, 3, 2, 5)):
-        want = LaurentPoly({0: 1})
-        for l in ls:
-            want = poly_mul(want, quantum_bracket(l))
-        for order in set(itertools.permutations(ls)):
-            c = tsukamoto._bracket_product(tuple(2 * l for l in order))
-            top = 2 * (len(c) - 1)
-            assert LaurentPoly({top - 4 * j: cj for j, cj in enumerate(c)}) == want, order
+@pytest.mark.parametrize("family, n, bound", ATUPLE_GRIDS)
+def test_transfer_matches_enumerated_bracket_products(family, n, bound):
+    # the box-to-box transfer sums the same series as a product of brackets
+    # per enumerated tuple, on every pair of the grid, zeros included
+    rank = make_root_data(family, n).g_rank
+    mus = list(iter_dominant_weights(weights.k_family(family), n, bound))
+    for lam in iter_dominant_weights(family, rank, bound):
+        for mu in mus:
+            assert tsukamoto_generating_function(family, lam, mu) == reference_series(
+                family, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("family, lam, mu, tuples", [
+    ("B", (12, 9, 6, 3, 0), (10, 7, 4, 1), 81),
+    ("B", (8, 6, 4, 2, 0), (7, 5, 3, -1), 16),
+    ("D", (12, 9, 6, 3, -1), (10, 7, 4), 81),
+    ("D", (12, 10, 6, 4, -2), (11, 7, 5), 48),
+])
+def test_transfer_matches_enumeration_on_large_boxes(family, lam, mu, tuples):
+    lam, mu = w(list(lam)), w(list(mu))
+    assert len(enumerate_atuples(family, lam, mu)) == tuples
+    assert tsukamoto_generating_function(family, lam, mu) == reference_series(family, lam, mu)
+
+
+def test_window_sums_multiply_by_a_bracket():
+    # one step of the transfer: a coefficient list (step 2 in the exponent,
+    # centred on 0) times [l], and two lists of one parity added on their
+    # centres
+    def poly(s):
+        return LaurentPoly({2 * (len(s) - 1) - 4 * j: c for j, c in enumerate(s)})
+
+    for s in ([1], [2, -1], [1, 0, 3], [1, 2, 3, 4]):
+        for l in range(1, 6):
+            assert poly(tsukamoto._times_bracket(s, l)) == poly_mul(poly(s), quantum_bracket(l))
+    for p, q in (([1, 2, 3], [5]), ([4], [1, 1, 1, 1, 1]), ([1, 2], [3, 4, 5, 6])):
+        assert poly(tsukamoto._add_centred(p, q)) == poly_add(poly(p), poly(q))
+
+
+def test_the_series_does_not_enumerate_tuples(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_atuples called")
+
+    want = tsukamoto_generating_function("B", w([3, 2, 1]), w([2, 1]))
+    monkeypatch.setattr(tsukamoto, "enumerate_atuples", refuse)
+    assert tsukamoto_generating_function("B", w([3, 2, 1]), w([2, 1])) == want != LaurentPoly()
+
+
+def widen(widened):
+    """A ``_boxes`` whose every box is passed through ``widened``."""
+    boxes = tsukamoto._boxes
+    return lambda *bounds: [widened(j, box) for j, box in enumerate(boxes(*bounds))]
+
+
+@pytest.mark.parametrize("boxes, error", [
+    # odd coordinates: box 1 holds a_1 = 1/2, and the bracket [min(1, 1) -
+    # max(0, 1/2) + 1] is [3/2]
+    (widen(lambda j, box: range(box.start, box.stop)), "step 2 -> 1 gives doubled bracket 3$"),
+    # a_2 = -1 below zero
+    (widen(lambda j, box: range(box.start - 2 * (j == 2), box.stop, 2)), "last parameter -2 "),
+    # a_2 = 1 above a_1 = 0
+    (widen(lambda j, box: range(box.start, box.stop + 2 * (j == 2), 2)), "step 0 -> 2 "),
+], ids=["odd-head-argument", "negative-last", "increasing"])
+def test_every_step_checks_its_tuple(monkeypatch, boxes, error):
+    # B n=2, lam = (1, 0, 0), mu = (0, 0): a_0 = 1, a_1 in {0, 1}, a_2 = 0
+    monkeypatch.setattr(tsukamoto, "_boxes", boxes)
+    for entry in (enumerate_atuples, tsukamoto_generating_function):
+        with pytest.raises(InternalInconsistencyError, match=error):
+            entry("B", w([1, 0, 0]), w([0, 0]))
 
 
 def test_extract_multiplicities():
