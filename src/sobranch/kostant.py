@@ -15,16 +15,17 @@ repeated work:
   A target negative on a coordinate where every generator of sigma is >= 0
   (sigma's support: the n head slots) has no partition, whatever k, so a
   pair needs only the p with p >= mu on the head.  There p[j] = +-c - rho[j]
-  for the coordinate c of lam + rho in slot j, so that asks |c| >= rho[j] +
-  mu[j]: ``_placements`` puts lam + rho's coordinates into the head slots
-  one slot at a time and drops a partial placement as soon as a slot's need
-  is not met, and each slot's two signs are filtered by p[j] >= mu[j]
-  before the product over slots.  Each sign pattern is read off
-  ``weights.sign_patterns`` by its index in the order that function
-  guarantees, and the sign from the inversion parity and flip count.  The
-  build grows with the kept terms, not with |W| or the (n+1)!
-  permutations: 4 terms for lam = (9, ..., 9) and mu = (9, ..., 9) at
-  family D, n = 7, where 725,760 points are >= 0 on the head.
+  for the coordinate c of lam + rho in slot j, so ``_pair_terms`` fills the
+  head one slot at a time in a single pass: slot j takes each unplaced
+  coordinate with each sign whose p[j] - mu[j] is >= 0, and a partial
+  placement ends as soon as a slot has none.  A full head binds its row
+  once, and the coordinates left over fill the other slots in every order.
+  Each sign pattern is read off ``weights.sign_patterns`` by its index in
+  the order that function guarantees, and the sign from the inversion
+  parity and flip count.  The build grows with the kept terms, not with |W|
+  or the (n+1)! permutations: 4 terms for lam = (9, ..., 9) and
+  mu = (9, ..., 9) at family D, n = 7, where 725,760 points are >= 0 on the
+  head.
 * Bound evaluator.  Both paths count with sigma's ``PartitionFunction``:
   its generators are validated and sorted once per root system
   (``_sigma``), and the row plan (head functional psi and the per-index
@@ -75,35 +76,6 @@ from .partition import count_vector_partitions  # noqa: F401
 from .weights import weyl_elements  # noqa: F401
 
 
-def _placements(values: tuple[int, ...], needs: dict[int, int]) -> Iterator[tuple[int, ...]]:
-    """Every permutation perm (coordinate i goes to slot perm[i]) that puts
-    into each slot s of ``needs`` a coordinate with |values[i]| >= needs[s].
-    The slots of ``needs`` are filled first, one at a time in their order,
-    and a partial placement ends as soon as the next one has no candidate;
-    the other coordinates then fill the other slots in every order."""
-    rank = len(values)
-    needy = list(needs)
-    free = [s for s in range(rank) if s not in needs]
-
-    def fill(chosen: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == len(needy):
-            rest = [i for i in range(rank) if i not in chosen]
-            for order in itertools.permutations(rest):
-                perm = [0] * rank
-                for i, s in zip(chosen, needy):
-                    perm[i] = s
-                for i, s in zip(order, free):
-                    perm[i] = s
-                yield tuple(perm)
-            return
-        need = needs[needy[len(chosen)]]
-        for i in range(rank):
-            if i not in chosen and abs(values[i]) >= need:
-                yield from fill(chosen + [i])
-
-    return fill([])
-
-
 #: root systems whose sigma is kept bound, one per (family, n)
 _ROOT_SYSTEMS = 8
 
@@ -134,43 +106,51 @@ def _pair_terms(
     sigma = _sigma(family, n)
     rank = rd.g_rank
     lam_rho = (lam + rd.rho_g).coords2
-    rho_bar = restrict(family, rd.rho_g).coords2
+    *rho_head, r_last = restrict(family, rd.rho_g).coords2
     mu2 = mu.coords2
     patterns = sign_patterns(family, rank)
-    # a slot's flip adds this to the index of its sign pattern: product order
-    # over the restricted slots, first slot most significant
-    bits = [1 << j for j in reversed(range(len(rho_bar)))]
     # restrict keeps coordinates, so restricting the slot numbers names the
-    # ambient slot behind each restricted one
-    kept = restrict(family, Weight(tuple(range(rank)))).coords2
-    # p[j] = +-c - rho_bar[j] on a head slot holding c, and some sign reaches
-    # mu[j] only if |c| >= rho_bar[j] + mu[j]; mu has no last slot, so the
-    # zips here and below are over the head
-    needs = {kept[j]: r + m for j, (r, m) in enumerate(zip(rho_bar, mu2)) if r + m > 0}
-    r_last = rho_bar[-1]
+    # ambient slot behind each restricted one; the other slots are the last
+    # one, after family D's dropped slot
+    *heads, _ = restrict(family, Weight(tuple(range(rank)))).coords2
+    others = [s for s in range(rank) if s not in heads]
+    perm = [None] * rank
     terms = []
-    for perm in _placements(lam_rho, needs):
-        parity = _inversion_parity(perm)
-        # omega puts coordinate i of lam + rho in slot perm[i], then negates
-        # the flipped slots; restrict is linear, so p is the restricted
-        # signed image minus the restriction of rho
-        image = [0] * rank
-        for i, j in enumerate(perm):
-            image[j] = lam_rho[i]
-        *head, c_last = [image[j] for j in kept]
-        # each head slot's (flip bit, p[j] - mu[j]) choices, unflipped first,
-        # kept where p[j] >= mu[j]
-        choices = [
-            [(flip, a - m) for flip, a in ((0, c - r), (bit, -c - r)) if a >= m]
-            for c, r, m, bit in zip(head, rho_bar, mu2, bits)
-        ]
-        for combo in itertools.product(*choices):
-            row = sigma.row(tuple(t for _, t in combo))
-            index = sum(flip for flip, _ in combo)
-            # the last slot is the least significant bit, and its two signs share the head
-            for flip, p_last in ((0, c_last - r_last), (1, -c_last - r_last)):
-                sign, flips = patterns[index + flip]
-                terms.append((SignedPermutation(perm, frozenset(flips)), parity * sign, p_last, row))
+
+    # omega puts coordinate i of lam + rho in slot perm[i], then negates the
+    # flipped slots; restrict is linear, so p[j] = +-c - rho_head[j] on a head
+    # slot j holding c.  Slot j takes each unplaced c with each sign whose
+    # p[j] - mu[j] is >= 0, and a flip adds the slot's bit to the index of
+    # the sign pattern (product order over the restricted slots, first slot
+    # most significant)
+    def place(j: int, index: int, target: tuple[int, ...]) -> None:
+        if j == n:
+            row = sigma.row(target)
+            rest = [i for i in range(rank) if perm[i] is None]
+            for order in itertools.permutations(rest):
+                for i, s in zip(order, others):
+                    perm[i] = s
+                full = tuple(perm)
+                parity = _inversion_parity(full)
+                c_last = lam_rho[order[-1]]
+                # the last slot is the least significant bit, and its two signs share the head
+                for flip, p_last in ((0, c_last - r_last), (1, -c_last - r_last)):
+                    sign, flips = patterns[index + flip]
+                    terms.append((SignedPermutation(full, frozenset(flips)), parity * sign, p_last, row))
+            for i in rest:
+                perm[i] = None
+            return
+        bit = 1 << (n - j)
+        for i, c in enumerate(lam_rho):
+            if perm[i] is None:
+                perm[i] = heads[j]
+                for flip, p in ((0, c), (bit, -c)):
+                    a = p - rho_head[j] - mu2[j]
+                    if a >= 0:
+                        place(j + 1, index + flip, target + (a,))
+                perm[i] = None
+
+    place(0, 0, ())
     return tuple(terms)
 
 

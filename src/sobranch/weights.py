@@ -139,12 +139,6 @@ class Weight(namedtuple("Weight", "coords2")):
         """Add ``delta2``/2 to the last coordinate."""
         return Weight(self.coords2[:-1] + (self.coords2[-1] + delta2,))
 
-    def with_last_negated(self) -> "Weight":
-        return Weight(self.coords2[:-1] + (-self.coords2[-1],))
-
-    def drop_index(self, index: int) -> "Weight":
-        return Weight(self.coords2[:index] + self.coords2[index + 1 :])
-
     def __repr__(self) -> str:
         parts = []
         for c in self.coords2:
@@ -213,8 +207,8 @@ class IntMap:
 #: inversion parities kept: 8! = 40,320, every permutation of one rank-8
 #: group (family D, n = 6), so a walk of it with a ``sign`` per element (the
 #: tests' alternating orbit sums) keeps its own entries.
-#: ``kostant._pair_terms`` reads one per placement: 36 on verify B n=3 max=1
-#: ``all``, none without kostant-full
+#: ``kostant._pair_terms`` reads one per full permutation it builds: 36 on
+#: verify B n=3 max=1 ``all``, none without kostant-full
 _PARITIES = 40_320
 
 
@@ -425,7 +419,7 @@ def tilde(family: str, w: Weight) -> Weight:
     highest weight to its outer twist; under family D it twists the ambient
     highest weight.  Branching multiplicities are invariant under it."""
     check_family(family)
-    return w.with_last_negated()
+    return Weight(w.coords2[:-1] + (-w.coords2[-1],))
 
 
 def _check_k(k: int) -> None:
@@ -485,7 +479,7 @@ def restrict(family: str, w: Weight) -> Weight:
         return w
     if w.rank < 2:
         raise DomainError("family D restriction needs rank >= 2")
-    return w.drop_index(w.rank - 2)
+    return Weight(w.coords2[:-2] + w.coords2[-1:])
 
 
 #: root systems kept for ``algebra_positive_roots`` and ``algebra_rho``, one

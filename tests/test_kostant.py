@@ -237,7 +237,7 @@ def usable_terms(points, mu):
     return [(omega, omega.sign, p[-1]) for omega, p in points if all(a >= b for a, b in zip(p, mu2))]
 
 
-@pytest.mark.parametrize("family, n", [("B", 2), ("B", 3), ("D", 1), ("D", 2), ("D", 3)])
+@pytest.mark.parametrize("family, n", [("B", 2), ("B", 3), ("B", 4), ("D", 1), ("D", 2), ("D", 3)])
 def test_orbit_is_exactly_the_usable_points(family, n):
     rank = make_root_data(family, n).g_rank
     lams = list(iter_dominant_weights(family, rank, 1))
