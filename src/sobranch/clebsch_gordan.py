@@ -43,9 +43,6 @@ class So3MultiSet(IntMap):
 
     mult = IntMap.get
 
-    def dimension(self) -> int:
-        return sum(m * (2 * k + 1) for k, m in self._data.items())
-
 
 def su2_tensor_multiplicity(r: Sequence[int], k: int) -> int:
     """Multiplicity of the (k+1)-dimensional SU(2) irreducible inside the
@@ -67,22 +64,29 @@ def su2_tensor_multiplicity(r: Sequence[int], k: int) -> int:
     return value
 
 
-def _pair_product(acc: dict[int, int], factor: So3MultiSet) -> dict[int, int]:
+def _pair_product(acc: dict[int, int], factor: list[tuple[int, int]]) -> dict[int, int]:
     out: dict[int, int] = defaultdict(int)
     for a, ma in acc.items():
-        for b, mb in factor.items():
+        for b, mb in factor:
             for c in range(abs(a - b), a + b + 1):
                 out[c] += ma * mb
-    return dict(out)
+    return out
+
+
+def _tensor(factors: Iterable[list[tuple[int, int]]]) -> So3MultiSet:
+    """The product of factors given as lists of (label, multiplicity)
+    pairs, valid by construction: only the result is checked, once, as an
+    So3MultiSet."""
+    acc = {0: 1}
+    for f in factors:
+        acc = _pair_product(acc, f)
+    return So3MultiSet(acc)
 
 
 def so3_tensor_decompose(factors: Iterable[So3MultiSet]) -> So3MultiSet:
     """Iterated pairwise Clebsch-Gordan: tau_a x tau_b = sum of tau_c for
     |a-b| <= c <= a+b.  The empty product is the trivial multiset {tau_0}."""
-    acc = {0: 1}
-    for f in factors:
-        acc = _pair_product(acc, f)
-    return So3MultiSet(acc)
+    return _tensor([f.items() for f in factors])
 
 
 def closed_form_B(lam: Weight, mu: Weight) -> So3MultiSet:
@@ -94,10 +98,9 @@ def closed_form_B(lam: Weight, mu: Weight) -> So3MultiSet:
     n = mu.rank
     l = lam.to_ints()
     m = mu.to_ints()
-    factors = [So3MultiSet.irreducible(l[n])]
-    for j in range(n):
-        factors.append(So3MultiSet.of_labels(range(l[j] - abs(m[j]), -1, -2)))
-    return so3_tensor_decompose(factors)
+    factors = [[(l[n], 1)]]
+    factors += [[(b, 1) for b in range(l[j] - abs(m[j]), -1, -2)] for j in range(n)]
+    return _tensor(factors)
 
 
 def closed_form_D(lam: Weight, mu: Weight) -> So3MultiSet:
@@ -109,7 +112,6 @@ def closed_form_D(lam: Weight, mu: Weight) -> So3MultiSet:
     n = mu.rank
     l = lam.to_ints()
     m = mu.to_ints()
-    factors = [So3MultiSet.of_labels(range(abs(l[n + 1]), l[n] + 1))]
-    for j in range(n):
-        factors.append(So3MultiSet.of_labels(range(l[j] - m[j], -1, -2)))
-    return so3_tensor_decompose(factors)
+    factors = [[(b, 1) for b in range(abs(l[n + 1]), l[n] + 1)]]
+    factors += [[(b, 1) for b in range(l[j] - m[j], -1, -2)] for j in range(n)]
+    return _tensor(factors)

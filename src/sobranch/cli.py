@@ -45,6 +45,7 @@ from .weights import (
     check_family_n,
     check_pair,
     check_rank,
+    count_dominant_weights,
     g_rank,
     iter_dominant_weights,
     k_family,
@@ -196,11 +197,27 @@ def _walk(family: str, n: int, lams: Iterable[Weight], mus: list[Weight], method
                 }
 
 
+#: most coordinates the (lam, mu) pairs of a verify grid may hold together.
+#: Every pair reads all of its own, so this bounds a sweep's least work, and
+#: it refuses a huge n, even at max 0, before any weight of rank n is built.
+#: D n=4 max=4 (20,580 pairs of 10 coordinates) and B n=9 max=2 (4,290 of 19)
+#: are well inside.
+_GRID_COORDINATES = 1_000_000
+
+
 def sweep(family: str, n: int, bound: int, methods: tuple[str, ...]):
     """The verify grid: ``_walk`` over every dominant lam and mu with first
-    coordinate at most ``bound``."""
+    coordinate at most ``bound``.  A grid whose pairs hold more than
+    ``_GRID_COORDINATES`` coordinates raises DomainError before any weight
+    is built."""
+    lam_rank = g_rank(family, n)
+    pairs = (count_dominant_weights(family, lam_rank, bound, _GRID_COORDINATES)
+             * count_dominant_weights(k_family(family), n, bound, _GRID_COORDINATES))
+    if pairs * (lam_rank + n) > _GRID_COORDINATES:
+        raise DomainError(f"the verify grid of family {family} n={n} max={bound} is too large: "
+                          f"its (lam, mu) pairs hold more than {_GRID_COORDINATES} coordinates")
     mus = list(iter_dominant_weights(k_family(family), n, bound))
-    return _walk(family, n, iter_dominant_weights(family, g_rank(family, n), bound), mus, methods)
+    return _walk(family, n, iter_dominant_weights(family, lam_rank, bound), mus, methods)
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:

@@ -184,25 +184,32 @@ def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
     has the same head target, so the pair binds sigma's
     ``PartitionFunction.row`` of that head once, and per term (sign, last
     coordinate at k = 0, step per unit of k), the term at k being
-    row[last + step * k].  Raises InterlacingError where mu does not simply
-    interlace lam."""
-    check_pair(family, n, lam, mu)
+    row[last + step * k].  Raises InterlacingError, naming the normalized
+    pair, where mu does not simply interlace lam.
+
+    Simple interlacing reads neither the sign of mu_n (family B) nor lam's
+    last coordinate (family D), which is all that normalizing changes, so
+    the pair is tested as given, and only a pair that binds is normalized;
+    the bind reads the doubled coordinates and builds no weight."""
+    check_pair(family, n, lam, mu)  # n against mu's rank; interlace then hits its memo
+    if not interlace("simple", family, lam, mu):
+        raise InterlacingError(*normalize_pair(family, lam, mu), family)
     top, sub = normalize_pair(family, lam, mu)
-    if not interlace("simple", family, top, sub):
-        raise InterlacingError(top, sub, family)
-    *head, last = (restrict(family, top) - Weight(sub.coords2 + (0,))).coords2
+    top2 = top.coords2
+    # restrict keeps lam's first n coordinates and its last
+    head = tuple([a - b for a, b in zip(top2, sub.coords2)])
+    last = top2[-1]
     if family == FAMILY_B:
         terms = ((1, last, -2), (-1, last + 2, 2))
     else:
-        l = top.to_ints()
-        lam_second_last, lam_last = l[n], l[n + 1]
+        lam_second_last, lam_last = top2[n] >> 1, top2[n + 1] >> 1
         terms = (
             (1, last, -2),
             (1, last - 4 * lam_last, -2),
             (-1, last + 2 * (lam_second_last - lam_last + 1), -2),
             (-1, last - 2 * (lam_second_last + lam_last + 1), -2),
         )
-    row = _sigma(family, n).row(tuple(head))
+    row = _sigma(family, n).row(head)
 
     def read(k: int) -> int:
         total = 0

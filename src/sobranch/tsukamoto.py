@@ -191,9 +191,10 @@ def tsukamoto_generating_function(family: str, lam: Weight, mu: Weight) -> Laure
 
 def extract_multiplicities(p: LaurentPoly) -> dict[int, int]:
     """Read off k -> m_k from an antisymmetric series with exclusively
-    half-integral exponents: m_k is the coefficient of x^(k+1/2)."""
+    half-integral exponents: m_k is the coefficient of x^(k+1/2).  The terms
+    are read in the series' own order, not sorted."""
     out: dict[int, int] = {}
-    for e2, c in p.items():
+    for e2, c in p._data.items():
         if e2 % 2 == 0:
             raise MalformedSeriesError(f"integral exponent {e2 // 2} present")
         if p.get(-e2) != -c:

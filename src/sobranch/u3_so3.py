@@ -38,13 +38,6 @@ class U3Weight(namedtuple("U3Weight", "a1 a2 a3")):
     def _make(cls, fields: Iterable) -> "U3Weight":
         return cls(*fields)
 
-    def shifted(self, s: int) -> "U3Weight":
-        return U3Weight(self.a1 + s, self.a2 + s, self.a3 + s)
-
-    def dimension(self) -> int:
-        p, q = self.a1 - self.a3, self.a2 - self.a3
-        return (p - q + 1) * (q + 1) * (p + 2) // 2
-
 
 def _ceil_half(x: int) -> int:
     return -(-x // 2)
@@ -154,28 +147,28 @@ def ending_B(lam: Weight, mu: Weight) -> So3MultiSet:
     """Family B multiplicity space when the tail of lam coincides with mu:
     lam_{i+3} = mu_i for i <= n-2 and mu_{n-1} <= lam_{n+1}.  Equals the
     U(3) restriction for (lam_1, lam_2, lam_3) tensored with the consecutive
-    block tau_{|mu_n|} + ... + tau_{mu_{n-1}}."""
-    n = mu.rank
-    check_pair(FAMILY_B, n, lam, mu)
-    l = lam.to_ints()
-    m = mu.to_ints()
-    coincide = all(l[i + 2] == m[i - 1] for i in range(1, n - 1))
-    if not coincide or m[n - 2] > l[n]:
+    block tau_{|mu_n|} + ... + tau_{mu_{n-1}}.  The pattern is read off the
+    doubled coordinates before anything is built, so a pair it does not
+    cover (most pairs) costs only that test."""
+    check_pair(FAMILY_B, mu.rank, lam, mu)
+    l2, m2 = lam.coords2, mu.coords2
+    if l2[3:] != m2[:-2] or m2[-2] > l2[-1]:
         raise CoincidencePatternError(lam, mu, FAMILY_B)
-    block = So3MultiSet.of_labels(range(abs(m[n - 1]), m[n - 2] + 1))
+    l, m = lam.to_ints(), mu.to_ints()
+    block = So3MultiSet.of_labels(range(abs(m[-1]), m[-2] + 1))
     return so3_tensor_decompose([u3_restriction(U3Weight(l[0], l[1], l[2])), block])
 
 
 def ending_D(lam: Weight, mu: Weight) -> So3MultiSet:
     """Family D multiplicity space when the tail of lam coincides with mu:
     |lam_{i+3}| = mu_i for i <= n-1 and mu_n <= |lam_{n+2}|.  Equals the
-    U(3) restriction for (lam_1, lam_2, |lam_3|) tensored with tau_{mu_n}."""
-    n = mu.rank
-    check_pair(FAMILY_D, n, lam, mu)
-    l = lam.to_ints()
-    m = mu.to_ints()
-    coincide = all(abs(l[i + 2]) == m[i - 1] for i in range(1, n))
-    if not coincide or m[n - 1] > abs(l[n + 1]):
+    U(3) restriction for (lam_1, lam_2, |lam_3|) tensored with tau_{mu_n}.
+    The pattern is read off the doubled coordinates before anything is
+    built, as in ``ending_B``."""
+    check_pair(FAMILY_D, mu.rank, lam, mu)
+    l2, m2 = lam.coords2, mu.coords2
+    if tuple(map(abs, l2[3:])) != m2[:-1] or m2[-1] > abs(l2[-1]):
         raise CoincidencePatternError(lam, mu, FAMILY_D)
-    factors = [u3_restriction(U3Weight(l[0], l[1], abs(l[2]))), So3MultiSet.irreducible(m[n - 1])]
+    l, m = lam.to_ints(), mu.to_ints()
+    factors = [u3_restriction(U3Weight(l[0], l[1], abs(l[2]))), So3MultiSet.irreducible(m[-1])]
     return so3_tensor_decompose(factors)

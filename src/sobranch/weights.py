@@ -25,6 +25,10 @@ directly, or through ``interlace`` (the closed forms, whose "simple" case is
 their precondition), or through ``BranchingQuery``, the one query type every
 route answers (its ``with_k`` checks only k).  No route reads the "triple"
 case: it is the vanishing pattern the tests check the routes against.
+``check_pair`` remembers the last valid pairs and, behind them, each
+weight's fault (not integral, not dominant, or none), both in bounded LRUs,
+so a sweep's new pair, built from weights seen before, costs its rank tests
+and two lookups.
 ``IntMap`` is the one map to non-zero integers that every route's container
 (Laurent series, SO(3) multisets, branching tables) subclasses.
 """
@@ -134,10 +138,6 @@ class Weight(namedtuple("Weight", "coords2")):
 
     def scaled(self, m: int) -> "Weight":
         return Weight(tuple(m * a for a in self.coords2))
-
-    def shift_last(self, delta2: int) -> "Weight":
-        """Add ``delta2``/2 to the last coordinate."""
-        return Weight(self.coords2[:-1] + (self.coords2[-1] + delta2,))
 
     def __repr__(self) -> str:
         parts = []
@@ -333,6 +333,30 @@ def iter_dominant_weights(family: str, rank: int, max_first: int) -> Iterator[We
             yield Weight.of_ints(tup[:-1] + (-tup[-1],))
 
 
+def count_dominant_weights(family: str, rank: int, max_first: int, cap: int) -> int:
+    """How many weights ``iter_dominant_weights`` yields, counted without
+    building one, or more than ``cap`` once the count passes it: the
+    C(max_first + rank, rank) non-increasing tuples of max_first..0, plus
+    under family D a sign twin for each of the C(max_first - 1 + rank, rank)
+    tuples of max_first..1.  Each partial product C(top - k + i, i) of a
+    binomial at least doubles, so a huge rank or bound costs about log2(cap)
+    steps."""
+
+    def comb(top: int, k: int) -> int:
+        k = min(k, top - k)
+        count = 1 if k >= 0 else 0
+        for i in range(1, k + 1):
+            count = count * (top - k + i) // i
+            if count > cap:
+                return cap + 1
+        return count
+
+    count = comb(max_first + rank, rank)
+    if family == FAMILY_D:
+        count += comb(max_first - 1 + rank, rank)
+    return count
+
+
 def g_rank(family: str, n: int) -> int:
     check_family_n(family, n)
     return n + 1 if family == FAMILY_B else n + 2
@@ -353,6 +377,19 @@ def check_rank(name: str, w: Weight, rank: int) -> None:
 #: valid pairs remembered by ``check_pair``; a verify sweep checks a pair
 #: inside the routes and at each method's bind, never per k
 _CHECKED_PAIRS = 64
+#: weights whose fault ``check_pair`` remembers, one per (algebra type,
+#: weight); a verify sweep meets every mu of its grid once per lam, and 256
+#: holds the 70 mu and the lam of D n=4 max=4 (B n=9 max=2 has 65 mu)
+_CHECKED_WEIGHTS = 256
+
+
+@lru_cache(maxsize=_CHECKED_WEIGHTS)
+def _weight_fault(family: str, w: Weight) -> str | None:
+    """Why w is no highest weight of the algebra of type ``family`` and w's
+    rank: "integral", "dominant" (integral but not dominant), or None."""
+    if not w.is_integral:
+        return "integral"
+    return None if is_dominant(family, w) else "dominant"
 
 
 @lru_cache(maxsize=_CHECKED_PAIRS, typed=True)
@@ -360,19 +397,25 @@ def check_pair(family: str, n: int, lam: Weight, mu: Weight) -> None:
     """The one test of a branching pair: family B or D with n at least the
     family's minimum, lam an integral dominant weight of the ambient G
     (rank ``g_rank``) and mu one of the subgroup K (rank n).  Raises
-    DomainError naming the first condition that fails.
+    DomainError naming the first condition that fails, in that order, both
+    weights' integrality before either's dominance.
 
     Memoised on its arguments (types included) for the last
     ``_CHECKED_PAIRS`` valid pairs; an error is never memoised, so an
-    invalid pair raises on every call."""
+    invalid pair raises on every call.  Behind that, ``_weight_fault`` keeps
+    each weight's fault, if any, for the last ``_CHECKED_WEIGHTS`` weights,
+    so a new pair of weights already seen costs the rank tests and two
+    lookups; a remembered fault raises the same error again."""
     lam_rank = g_rank(family, n)
     check_rank("mu", mu, n)
     check_rank("lam", lam, lam_rank)
-    if not lam.is_integral or not mu.is_integral:
-        raise DomainError("highest weights must have integral coordinates")
-    if not is_dominant(family, lam):
-        raise DomainError(f"lam={lam} is not dominant (family {family})")
-    if not is_dominant(k_family(family), mu):
+    lam_fault = _weight_fault(family, lam)
+    mu_fault = _weight_fault(k_family(family), mu)
+    if lam_fault or mu_fault:
+        if "integral" in (lam_fault, mu_fault):
+            raise DomainError("highest weights must have integral coordinates")
+        if lam_fault:
+            raise DomainError(f"lam={lam} is not dominant (family {family})")
         raise DomainError(f"mu={mu} is not dominant (family {family})")
 
 
@@ -530,14 +573,6 @@ class RootData(namedtuple("RootData", "family n rho_g sigma")):
     @property
     def g_rank(self) -> int:
         return self.rho_g.rank
-
-    @property
-    def g_algebra(self) -> tuple[str, int]:
-        return (self.family, self.g_rank)
-
-    @property
-    def k_algebra(self) -> tuple[str, int]:
-        return (k_family(self.family), self.n)
 
 
 #: root data kept, one per (family, n)

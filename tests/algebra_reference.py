@@ -2,8 +2,9 @@
 because no route and no command reads it: characters as signed maps on the
 weight lattice, with the Weyl group's action on them and their product, the
 alternating orbit sum ``xi`` and whole weight systems; the group law of
-signed permutations; and the ring operations of Laurent series with the
-quantum bracket.
+signed permutations; the ring operations of Laurent series with the
+quantum bracket; and the accessors only the tests read (the algebras of a
+root system, dimensions of SO(3) multisets and U(3) weights, shifts).
 
 The Laurent operations return the package's own ``LaurentPoly``, since
 container equality needs the same type and the tests compare these with the
@@ -14,7 +15,8 @@ holds them.
 from sobranch.errors import DomainError
 from sobranch.oracle import _char_items, _check_algebra, _require_dominant_integral
 from sobranch.tsukamoto import LaurentPoly
-from sobranch.weights import IntMap, SignedPermutation, Weight, weyl_elements
+from sobranch.u3_so3 import U3Weight
+from sobranch.weights import IntMap, SignedPermutation, Weight, k_family, weyl_elements
 
 
 class CharacterMap(IntMap):
@@ -102,3 +104,34 @@ def quantum_bracket(l):
     if type(l) is not int or l < 1:
         raise DomainError(f"quantum_bracket needs an integer l >= 1, got {l!r}")
     return LaurentPoly({e2: 1 for e2 in range(-2 * (l - 1), 2 * (l - 1) + 1, 4)})
+
+
+def shift_last(w, delta2):
+    """w with ``delta2``/2 added to its last coordinate."""
+    return Weight(w.coords2[:-1] + (w.coords2[-1] + delta2,))
+
+
+def g_algebra(rd):
+    """(type, rank) of the ambient G's algebra for the root data rd."""
+    return (rd.family, rd.g_rank)
+
+
+def k_algebra(rd):
+    """(type, rank) of the subgroup K's algebra for the root data rd."""
+    return (k_family(rd.family), rd.n)
+
+
+def so3_dimension(ms):
+    """The dimension of an SO(3) multiset: sum of m (2k + 1)."""
+    return sum(m * (2 * k + 1) for k, m in ms.items())
+
+
+def u3_shifted(lam_prime, s):
+    """The U(3) weight with s added to each coordinate."""
+    return U3Weight(lam_prime.a1 + s, lam_prime.a2 + s, lam_prime.a3 + s)
+
+
+def u3_dimension(lam_prime):
+    """Weyl's dimension of the U(3) irreducible of highest weight lam_prime."""
+    p, q = lam_prime.a1 - lam_prime.a3, lam_prime.a2 - lam_prime.a3
+    return (p - q + 1) * (q + 1) * (p + 2) // 2

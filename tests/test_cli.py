@@ -20,6 +20,7 @@ from sobranch.tsukamoto import multiplicity_tsukamoto
 from sobranch.weights import (
     BranchingQuery,
     Weight,
+    count_dominant_weights,
     g_rank,
     interlace,
     iter_dominant_weights,
@@ -617,6 +618,45 @@ def test_decompose_checks_lam_before_it_builds_a_weight_of_rank_n(capsys):
         tracemalloc.stop()
     assert (code, out, err) == (2, "", f"error: lam must have rank {n + 1}, got 3\n")
     assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("bound", [1, 0])
+def test_verify_counts_its_grid_before_it_builds_a_weight_of_rank_n(capsys, bound):
+    # lam and mu are counted in closed form first: at n = 2 * 10**8 even the
+    # one pair of max 0 holds 4 * 10**8 coordinates, so the grid is refused
+    # before any of it is allocated, with a usage error and not a MemoryError
+    n = 2 * 10**8
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--family", "B", "--n", str(n), "--max", str(bound))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (
+        2, "", f"error: the verify grid of family B n={n} max={bound} is too large: "
+        f"its (lam, mu) pairs hold more than {cli._GRID_COORDINATES} coordinates\n")
+    assert peak < 8 * 2**20, peak
+
+
+def test_grid_count_matches_the_walk():
+    for family in ("B", "D"):
+        for rank in range(1, 7):
+            for bound in range(-1, 5):
+                count = count_dominant_weights(family, rank, bound, 10**6)
+                assert count == len(list(iter_dominant_weights(family, rank, bound))), (
+                    family, rank, bound)
+    # a binomial past the cap stops at one more than it, whatever its size:
+    # C(12 * 10**8, 2 * 10**8), and C(10**9 + 1, 1) with the one sign twin
+    assert count_dominant_weights("B", 2 * 10**8, 10**9, 100) == 101
+    assert count_dominant_weights("D", 10**9, 1, 100) == 102
+
+
+@pytest.mark.parametrize("family, n, bound, pairs", [
+    ("D", 4, 4, 20_580), ("B", 9, 2, 4_290), ("B", 6, 2, 1_260), ("D", 5, 2, 924)])
+def test_the_grid_guard_admits_the_largest_sweeps(family, n, bound, pairs):
+    lam_count = count_dominant_weights(family, g_rank(family, n), bound, cli._GRID_COORDINATES)
+    assert lam_count * count_dominant_weights(k_family(family), n, bound, cli._GRID_COORDINATES) == pairs
+    cli.sweep(family, n, bound, ("tsukamoto", "closed-form"))  # a refused grid raises here
 
 
 def parse_with_every_command(capsys, argv):

@@ -11,6 +11,7 @@ from sobranch.kostant import (
     kostant_terms,
     multiplicity_kostant_full,
     multiplicity_kostant_reduced,
+    reduced_pair,
 )
 from sobranch.partition import shared_cache
 from sobranch.weights import (
@@ -25,7 +26,7 @@ from sobranch.weights import (
     weyl_elements,
 )
 
-from algebra_reference import apply, compose, identity, reflection, transposition
+from algebra_reference import apply, compose, identity, reflection, shift_last, transposition
 from partition_reference import scalar_partition_function
 
 w = Weight.of_ints
@@ -78,6 +79,22 @@ def test_reduced_requires_simple_interlacing():
         multiplicity_kostant_reduced(q_B([2, 2, 0], [1, 0], 0))
 
 
+@pytest.mark.parametrize("family, n, lam, mu, top, sub", [
+    # family D normalizes lam's last coordinate, family B mu's
+    ("D", 2, [3, 2, 1, -1], [1, 1], [3, 2, 1, 1], [1, 1]),
+    ("D", 1, [2, 2, -2], [1], [2, 2, 2], [1]),
+    ("B", 3, [3, 2, 1, 0], [1, 1, -1], [3, 2, 1, 0], [1, 1, 1]),
+    ("B", 2, [2, 2, 0], [1, 0], [2, 2, 0], [1, 0]),
+])
+def test_reduced_pair_names_the_normalized_pair(family, n, lam, mu, top, sub):
+    # the pair is tested as given and normalized only for the error and the
+    # bind, so the error's arguments are the normalized weights, every call
+    for _ in range(2):
+        with pytest.raises(InterlacingError) as raised:
+            reduced_pair(family, n, w(lam), w(mu))
+        assert raised.value.args == (w(top), w(sub), family)
+
+
 def test_reduced_equals_full_on_interlacing_grid():
     for family, n in (("B", 2), ("D", 1)):
         for q in grid_queries(family, n, 2):
@@ -92,17 +109,17 @@ def scalar_reduced_sum(q):
     sigma = scalar_partition_function(make_root_data(q.family, q.n).sigma)
     base = restrict(q.family, q.lam) - Weight(q.mu.coords2 + (0,))
     if q.family == "B":
-        terms = ((1, base, -2), (-1, base.shift_last(2), 2))
+        terms = ((1, base, -2), (-1, shift_last(base, 2), 2))
     else:
         l = q.lam.to_ints()
         second_last, last = l[q.n], l[q.n + 1]
         terms = (
             (1, base, -2),
-            (1, base.shift_last(-4 * last), -2),
-            (-1, base.shift_last(2 * (second_last - last + 1)), -2),
-            (-1, base.shift_last(-2 * (second_last + last + 1)), -2),
+            (1, shift_last(base, -4 * last), -2),
+            (-1, shift_last(base, 2 * (second_last - last + 1)), -2),
+            (-1, shift_last(base, -2 * (second_last + last + 1)), -2),
         )
-    return sum(sign * sigma.count(t.shift_last(step * q.k).coords2) for sign, t, step in terms)
+    return sum(sign * sigma.count(shift_last(t, step * q.k).coords2) for sign, t, step in terms)
 
 
 @pytest.mark.parametrize("family, n, bound", [("B", 2, 3), ("B", 3, 2), ("D", 1, 3),
@@ -259,6 +276,7 @@ def test_orbit_and_binding_caches_are_bounded():
     assert partition._bind.cache_info().maxsize is not None
     assert tsukamoto._pair_row.cache_info().maxsize == tsukamoto._PAIR_ROWS == 128
     assert weights.check_pair.cache_info().maxsize is not None
+    assert weights._weight_fault.cache_info().maxsize == weights._CHECKED_WEIGHTS == 256
     assert weights.weyl_elements.cache_info().maxsize is not None
     assert weights.sign_patterns.cache_info().maxsize is not None
     assert weights.make_root_data.cache_info().maxsize is not None

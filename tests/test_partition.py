@@ -16,6 +16,7 @@ from sobranch.partition import (
 )
 from sobranch.weights import Weight, make_root_data
 
+from algebra_reference import shift_last
 from partition_reference import ScalarPartitionFunction, scalar_partition_function
 
 w = Weight.of_ints
@@ -147,9 +148,9 @@ def test_staircase_recursion_small():
         nu = w(coords)
         p_nu = count_vector_partitions(sigma_double_prime, nu)
         for m in (1, 3, 6):
-            tail = sum(count_sigma_prime(n, nu.shift_last(2 * r)) for r in range(m))
+            tail = sum(count_sigma_prime(n, shift_last(nu, 2 * r)) for r in range(m))
             assert p_nu == count_vector_partitions(
-                sigma_double_prime, nu.shift_last(2 * m)
+                sigma_double_prime, shift_last(nu, 2 * m)
             ) + tail
 
 

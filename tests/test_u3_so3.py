@@ -1,5 +1,7 @@
 import pytest
 
+from algebra_reference import so3_dimension, u3_dimension, u3_shifted
+
 from sobranch.clebsch_gordan import So3MultiSet, so3_tensor_decompose
 from sobranch.errors import CoincidencePatternError, DomainError
 from sobranch.oracle import branch_oracle
@@ -20,10 +22,10 @@ tau = So3MultiSet.irreducible
 def test_u3_weight_validation():
     with pytest.raises(DomainError):
         U3Weight(0, 1, 0)
-    assert U3Weight(2, 1, -1).dimension() == 15
-    assert U3Weight(1, 0, 0).dimension() == 3
-    assert U3Weight(1, 1, 0).dimension() == 3
-    assert U3Weight(2, 0, 0).dimension() == 6
+    assert u3_dimension(U3Weight(2, 1, -1)) == 15
+    assert u3_dimension(U3Weight(1, 0, 0)) == 3
+    assert u3_dimension(U3Weight(1, 1, 0)) == 3
+    assert u3_dimension(U3Weight(2, 0, 0)) == 6
 
 
 def test_closed_formula_examples():
@@ -60,7 +62,7 @@ def test_closed_matches_oracle_on_grid():
 def test_shift_invariance_including_negative_coordinates():
     for base in (U3Weight(5, 3, 1), U3Weight(4, 4, 0), U3Weight(6, 2, 2)):
         for shift in (-5, -3, 7):
-            shifted = base.shifted(shift)
+            shifted = u3_shifted(base, shift)
             for k in range(base.a1 - base.a3 + 2):
                 assert u3_to_so3_closed(shifted, k) == u3_to_so3_closed(base, k)
                 assert u3_to_so3_oracle(shifted, k) == u3_to_so3_oracle(base, k)
@@ -71,7 +73,7 @@ def test_restriction_dimension_conservation():
         for a2 in range(a1 + 1):
             for a3 in range(a2 + 1):
                 lp = U3Weight(a1, a2, a3)
-                assert u3_restriction(lp).dimension() == lp.dimension()
+                assert so3_dimension(u3_restriction(lp)) == u3_dimension(lp)
 
 
 def test_case_boundary_consistency():

@@ -9,6 +9,7 @@ from sobranch.kostant import BranchingQuery, multiplicity_kostant_reduced
 from sobranch.oracle import branch_oracle
 from sobranch.tsukamoto import enumerate_atuples, tsukamoto_generating_function
 from sobranch.u3_so3 import ending_B, ending_D
+from sobranch import weights
 from sobranch.weights import Weight, check_pair, interlace
 
 w = Weight.of_ints
@@ -107,6 +108,31 @@ def test_an_invalid_pair_raises_on_every_call():
             check_pair(*valid)
             with pytest.raises(DomainError):
                 check_pair(family, n, lam, mu)
+
+
+def test_a_remembered_weight_fault_raises_on_every_call():
+    # the weight memo keeps each weight's fault, not only valid weights: a
+    # pair whose weights it has already seen raises, with the same message,
+    # on every call, and the memo answers the repeats
+    for row_id, family, n, lam, mu, _ in BAD_PAIRS:
+        if not row_id.startswith(("non-dominant", "half-integral")):
+            continue
+        for call in range(3):
+            hits = weights._weight_fault.cache_info().hits
+            with pytest.raises(DomainError) as raised:
+                check_pair(family, n, lam, mu)
+            assert str(raised.value) == MESSAGES[row_id]
+            if call:
+                assert weights._weight_fault.cache_info().hits - hits == 2
+    # both weights' integrality comes before either's dominance, whichever
+    # fault the memo met first
+    lam, half = w([0, 1, 0]), Weight((1, 1))
+    for _ in range(2):
+        for mu, message in ((w([0, 0]), "lam=(0, 1, 0) is not dominant (family B)"),
+                            (half, "highest weights must have integral coordinates")):
+            with pytest.raises(DomainError) as raised:
+                check_pair("B", 2, lam, mu)
+            assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("call, args, message", [
