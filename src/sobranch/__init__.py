@@ -20,7 +20,6 @@ from .clebsch_gordan import (
     closed_form_B,
     closed_form_D,
     so3_tensor_decompose,
-    su2_tensor_multiplicity,
 )
 from .errors import (
     CoincidencePatternError,
@@ -39,7 +38,6 @@ from .kostant import (
 from .oracle import MultiplicityTable, branch_oracle, weyl_dim
 from .partition import (
     PartitionCache,
-    count_sigma_prime,
     count_vector_partitions,
     shared_cache,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "branch_oracle",
     "closed_form_B",
     "closed_form_D",
-    "count_sigma_prime",
     "count_vector_partitions",
     "ending_B",
     "ending_D",
@@ -112,7 +109,6 @@ __all__ = [
     "restrict",
     "shared_cache",
     "so3_tensor_decompose",
-    "su2_tensor_multiplicity",
     "tilde",
     "tsukamoto_generating_function",
     "u3_restriction",

@@ -1,20 +1,20 @@
-"""SU(2)/SO(3) tensor-product multiplicities and the closed-form tensor
-decompositions of the multiplicity spaces.
+"""SO(3) multisets and the closed-form tensor decompositions of the
+multiplicity spaces, built on iterated pairwise Clebsch-Gordan on SO(3)
+labels.
 
-Two independent routes are kept deliberately separate: the partition-function
-formula of Wallach-Yacobi for iterated SU(2) tensor products, and plain
-iterated pairwise Clebsch-Gordan on SO(3) labels.  The closed forms for the
-two orthogonal families are built on the second route only, so cross-checks
-against the Kostant route stay meaningful.
+The closed forms read no partition function, so cross-checks against the
+Kostant routes stay meaningful.  The Wallach-Yacobi formula for iterated
+SU(2) tensor products, a difference of two paired-generator partition
+counts, is the paper's lemma that the acceptance criteria check this
+product against; it lives with the tests (``tests/algebra_reference.py``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DomainError, InterlacingError, InternalInconsistencyError
-from .partition import count_sigma_prime
+from .errors import DomainError, InterlacingError
 from .weights import FAMILY_B, FAMILY_D, IntMap, Weight, interlace
 
 
@@ -42,26 +42,6 @@ class So3MultiSet(IntMap):
         return cls([(k, 1) for k in labels])
 
     mult = IntMap.get
-
-
-def su2_tensor_multiplicity(r: Sequence[int], k: int) -> int:
-    """Multiplicity of the (k+1)-dimensional SU(2) irreducible inside the
-    tensor product of the (r_i+1)-dimensional ones, as a difference of two
-    paired-generator partition counts."""
-    labels = list(r)
-    if not labels:
-        raise DomainError("factor list must be non-empty")
-    if any(type(x) is not int or x < 0 for x in [*labels, k]):
-        raise DomainError("labels must be non-negative integers")
-    n = len(labels) - 1
-    low = Weight.of_ints(labels[:n] + [labels[n] - k])
-    high = Weight.of_ints(labels[:n] + [labels[n] + k + 2])
-    value = count_sigma_prime(n, low) - count_sigma_prime(n, high)
-    if value < 0:
-        raise InternalInconsistencyError(
-            f"negative tensor multiplicity for r={labels}, k={k}"
-        )
-    return value
 
 
 def _pair_product(acc: dict[int, int], factor: list[tuple[int, int]]) -> dict[int, int]:

@@ -65,7 +65,6 @@ from .weights import (
     interlace,
     make_root_data,
     normalize_pair,
-    restrict,
     sign_patterns,
 )
 
@@ -106,14 +105,14 @@ def _pair_terms(
     sigma = _sigma(family, n)
     rank = rd.g_rank
     lam_rho = (lam + rd.rho_g).coords2
-    *rho_head, r_last = restrict(family, rd.rho_g).coords2
+    rho2 = rd.rho_g.coords2
+    # restrict keeps the n head slots 0..n-1 and the last slot, so rho's
+    # restriction is rho2[:n] and rho2[-1]; the others are the slots after
+    # the head, family D's dropped slot n first
+    rho_head, r_last = rho2[:n], rho2[-1]
     mu2 = mu.coords2
     patterns = sign_patterns(family, rank)
-    # restrict keeps coordinates, so restricting the slot numbers names the
-    # ambient slot behind each restricted one; the other slots are the last
-    # one, after family D's dropped slot
-    *heads, _ = restrict(family, Weight(tuple(range(rank)))).coords2
-    others = [s for s in range(rank) if s not in heads]
+    others = range(n, rank)
     perm = [None] * rank
     terms = []
 
@@ -143,7 +142,7 @@ def _pair_terms(
         bit = 1 << (n - j)
         for i, c in enumerate(lam_rho):
             if perm[i] is None:
-                perm[i] = heads[j]
+                perm[i] = j
                 for flip, p in ((0, c), (bit, -c)):
                     a = p - rho_head[j] - mu2[j]
                     if a >= 0:

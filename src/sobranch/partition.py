@@ -24,14 +24,14 @@ count over the last coordinate.  The one such generator in use, family D's
 suffix sum; the bind refuses a zero-head generator with a positive one.
 Rows and their histograms live in the shared cache under the binding's
 namespace, each weighing its number of cells against the cache's cap.
+Each is kept once: a row under (0, head), and a histogram under (index,
+residual) for index >= 1 only, since the index-0 histogram is the row before
+its zero-head step and only ``row`` asks for it, after missing the row.
 
 ``count_vector_partitions`` counts one target: it validates the target,
 appends a zero last coordinate to every generator, and reads the count at
-last coordinate 0 off the row whose head is the whole target.
-
-``count_sigma_prime`` counts over the paired generators e_i +- e_last,
-1 <= i <= n: it reads the count off the row of the target's head, from
-sigma' bound once per n in a small LRU.
+last coordinate 0 off the row whose head is the whole target.  Only the
+Kostant routes read rows; the closed forms never reach this module.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class PartitionFunction:
         """The partition counts of the doubled-integer targets (head, last)
         for every last, as a ``Row``: ``row(head)[last]`` is the count of
         ``head + (last,)``."""
-        key = (self._ns, -1, head)
+        key = (self._ns, 0, head)
         row = _shared_cache.get(key)
         if row is None:
             level = _dot(self._psi, head)
@@ -201,9 +201,10 @@ class PartitionFunction:
         if index == len(moving):
             return _EMPTY if any(head) else _UNIT
         key = (self._ns, index, head)
-        hit = _shared_cache.get(key)
-        if hit is not None:
-            return hit
+        if index:  # under index 0 ``row`` keeps the row, and has just missed it
+            hit = _shared_cache.get(key)
+            if hit is not None:
+                return hit
         stop = self._stops[index]
         if any(head[c] < 0 for c in stop) or any(head[c] for c in self._dead[index]):
             return _EMPTY
@@ -219,7 +220,8 @@ class PartitionFunction:
             shift += g_last
             if level < 0 or any(head[c] < 0 for c in stop):
                 break
-        _shared_cache.put(key, out, max(1, len(out)))
+        if index:
+            _shared_cache.put(key, out, max(1, len(out)))
         return out
 
 
@@ -301,30 +303,3 @@ def count_vector_partitions(generators: Iterable[Weight], target: Weight) -> int
     bound = partition_function(Weight(g.coords2 + (0,)) for g in generators)
     return bound.row(target.coords2)[0]
 
-
-#: sigma' bindings kept, one per n
-_SIGMA_PRIMES = 8
-
-
-@lru_cache(maxsize=_SIGMA_PRIMES)
-def _sigma_prime(n: int) -> PartitionFunction:
-    """The partition function of e_i +- e_last, 1 <= i <= n, for n >= 1."""
-    e_last = Weight.basis(n + 1, n)
-    return partition_function(
-        Weight.basis(n + 1, i) + e_last.scaled(s) for i in range(n) for s in (1, -1)
-    )
-
-
-def count_sigma_prime(n: int, target: Weight) -> int:
-    """Partition count for the paired generators e_i +- e_last, 1 <= i <= n,
-    on a rank n+1 target, read off the row of the target's head."""
-    if type(n) is not int or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    if target.rank != n + 1:
-        raise DomainError(f"target must have rank {n + 1}, got {target.rank}")
-    if not target.is_integral:
-        return 0
-    t2 = target.coords2
-    if not n:  # no generators
-        return 1 if not any(t2) else 0
-    return _sigma_prime(n).row(t2[:n])[t2[n]]

@@ -525,13 +525,6 @@ def restrict(family: str, w: Weight) -> Weight:
     return Weight(w.coords2[:-2] + w.coords2[-1:])
 
 
-#: root systems kept for ``algebra_positive_roots`` and ``algebra_rho``, one
-#: per (family, rank); the oracle reads them once per algebra for its root
-#: data, and ``make_root_data`` reads rho
-_ALGEBRAS = 16
-
-
-@lru_cache(maxsize=_ALGEBRAS)
 def algebra_positive_roots(family: str, rank: int) -> tuple[Weight, ...]:
     """Positive roots of B_rank (e_i +- e_j, i<j, and all e_i) or of D_rank
     (e_i +- e_j only), in the lexicographic positive system."""
@@ -549,7 +542,6 @@ def algebra_positive_roots(family: str, rank: int) -> tuple[Weight, ...]:
     return tuple(roots)
 
 
-@lru_cache(maxsize=_ALGEBRAS)
 def algebra_rho(family: str, rank: int) -> Weight:
     """Half the sum of the positive roots: coordinates rank-i+1/2 (type B)
     or rank-i (type D) at position i."""

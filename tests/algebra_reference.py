@@ -3,8 +3,12 @@ because no route and no command reads it: characters as signed maps on the
 weight lattice, with the Weyl group's action on them and their product, the
 alternating orbit sum ``xi`` and whole weight systems; the group law of
 signed permutations; the ring operations of Laurent series with the
-quantum bracket; and the accessors only the tests read (the algebras of a
-root system, dimensions of SO(3) multisets and U(3) weights, shifts).
+quantum bracket; the accessors only the tests read (the algebras of a
+root system, dimensions of SO(3) multisets and U(3) weights, shifts); and
+the paper's SU(2) tensor lemma of Wallach-Yacobi, a difference of two
+partition counts over the paired generators e_i +- e_last (sigma'), which
+criteria 4-6 reproduce.  sigma' is counted off the package's partition
+rows, so those criteria check the Kostant routes' evaluator too.
 
 The Laurent operations return the package's own ``LaurentPoly``, since
 container equality needs the same type and the tests compare these with the
@@ -12,8 +16,11 @@ routes' series.  Coordinates are doubled integers, as ``Weight.coords2``
 holds them.
 """
 
-from sobranch.errors import DomainError
+from functools import lru_cache
+
+from sobranch.errors import DomainError, InternalInconsistencyError
 from sobranch.oracle import _char_items, _check_algebra, _require_dominant_integral
+from sobranch.partition import partition_function
 from sobranch.tsukamoto import LaurentPoly
 from sobranch.u3_so3 import U3Weight
 from sobranch.weights import IntMap, SignedPermutation, Weight, k_family, weyl_elements
@@ -135,3 +142,47 @@ def u3_dimension(lam_prime):
     """Weyl's dimension of the U(3) irreducible of highest weight lam_prime."""
     p, q = lam_prime.a1 - lam_prime.a3, lam_prime.a2 - lam_prime.a3
     return (p - q + 1) * (q + 1) * (p + 2) // 2
+
+
+@lru_cache(maxsize=8)
+def _sigma_prime(n):
+    """The partition function of e_i +- e_last, 1 <= i <= n, for n >= 1."""
+    e_last = Weight.basis(n + 1, n)
+    return partition_function(
+        Weight.basis(n + 1, i) + e_last.scaled(s) for i in range(n) for s in (1, -1)
+    )
+
+
+def count_sigma_prime(n, target):
+    """Partition count for the paired generators e_i +- e_last, 1 <= i <= n,
+    on a rank n+1 target, read off the row of the target's head."""
+    if type(n) is not int or n < 0:
+        raise DomainError(f"n must be a non-negative integer, got {n!r}")
+    if target.rank != n + 1:
+        raise DomainError(f"target must have rank {n + 1}, got {target.rank}")
+    if not target.is_integral:
+        return 0
+    t2 = target.coords2
+    if not n:  # no generators
+        return 1 if not any(t2) else 0
+    return _sigma_prime(n).row(t2[:n])[t2[n]]
+
+
+def su2_tensor_multiplicity(r, k):
+    """Multiplicity of the (k+1)-dimensional SU(2) irreducible inside the
+    tensor product of the (r_i+1)-dimensional ones, as a difference of two
+    paired-generator partition counts."""
+    labels = list(r)
+    if not labels:
+        raise DomainError("factor list must be non-empty")
+    if any(type(x) is not int or x < 0 for x in [*labels, k]):
+        raise DomainError("labels must be non-negative integers")
+    n = len(labels) - 1
+    low = Weight.of_ints(labels[:n] + [labels[n] - k])
+    high = Weight.of_ints(labels[:n] + [labels[n] + k + 2])
+    value = count_sigma_prime(n, low) - count_sigma_prime(n, high)
+    if value < 0:
+        raise InternalInconsistencyError(
+            f"negative tensor multiplicity for r={labels}, k={k}"
+        )
+    return value

@@ -1,5 +1,7 @@
 import re
+import warnings
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -9,6 +11,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("sobranch")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport():
+    # hypothesis touches a deprecated mypy_extensions name while it reports a
+    # failing example; under -W error that warning would end the run in an
+    # INTERNALERROR instead of naming the failed test
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+        )
+        return (yield)
+
 
 _ACCEPTANCE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 _results: dict[int, tuple[str, str]] = {}

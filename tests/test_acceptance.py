@@ -8,7 +8,15 @@ import time
 from dataclasses import dataclass, field
 
 import pytest
-from algebra_reference import g_algebra, k_algebra, shift_last, weight_multiplicities, xi
+from algebra_reference import (
+    count_sigma_prime,
+    g_algebra,
+    k_algebra,
+    shift_last,
+    su2_tensor_multiplicity,
+    weight_multiplicities,
+    xi,
+)
 
 from sobranch import cli
 from sobranch.clebsch_gordan import (
@@ -16,12 +24,11 @@ from sobranch.clebsch_gordan import (
     closed_form_B,
     closed_form_D,
     so3_tensor_decompose,
-    su2_tensor_multiplicity,
 )
 from sobranch.errors import CoincidencePatternError
 from sobranch.kostant import multiplicity_kostant_full, multiplicity_kostant_reduced
 from sobranch.oracle import branch_oracle, weyl_dim
-from sobranch.partition import count_sigma_prime, count_vector_partitions
+from sobranch.partition import count_vector_partitions
 from sobranch.tsukamoto import extract_multiplicities, tsukamoto_generating_function
 from sobranch.u3_so3 import U3Weight, ending_B, ending_D, u3_to_so3_closed, u3_to_so3_oracle
 from sobranch.weights import (

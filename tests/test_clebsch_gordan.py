@@ -2,14 +2,13 @@ import itertools
 
 import pytest
 
-from algebra_reference import so3_dimension
+from algebra_reference import so3_dimension, su2_tensor_multiplicity
 
 from sobranch.clebsch_gordan import (
     So3MultiSet,
     closed_form_B,
     closed_form_D,
     so3_tensor_decompose,
-    su2_tensor_multiplicity,
 )
 from sobranch.errors import DomainError, InterlacingError
 from sobranch.weights import Weight

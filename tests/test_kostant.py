@@ -280,8 +280,6 @@ def test_orbit_and_binding_caches_are_bounded():
     assert weights.weyl_elements.cache_info().maxsize is not None
     assert weights.sign_patterns.cache_info().maxsize is not None
     assert weights.make_root_data.cache_info().maxsize is not None
-    assert weights.algebra_positive_roots.cache_info().maxsize is not None
-    assert weights.algebra_rho.cache_info().maxsize is not None
     # one whole rank-8 group of permutations
     assert weights._inversion_parity.cache_info().maxsize == math.factorial(8)
     assert oracle._dominant_mults.cache_info().maxsize is not None

@@ -19,7 +19,7 @@ ALLOWED = {
     "weights": {"errors"},
     "partition": {"weights", "errors"},
     "kostant": {"weights", "partition", "errors"},
-    "clebsch_gordan": {"weights", "partition", "errors"},
+    "clebsch_gordan": {"weights", "errors"},
     "tsukamoto": {"weights", "errors"},
     "oracle": {"weights", "errors"},
     "u3_so3": {"weights", "clebsch_gordan", "errors"},
@@ -208,12 +208,11 @@ def test_dataclass_scan_flags_every_import_form(source, flagged):
     assert bool(dataclass_imports(source)) == flagged
 
 
-#: public definitions that nothing in the package reads: the paper's SU(2)
-#: tensor lemma, which criteria 4-6 reproduce, and Tsukamoto's a-tuples,
-#: which ``sobranch.__all__`` exports, the tests' reference series sums and
-#: perfbench's tracer looks up in ``sobranch.tsukamoto`` (it fails at install
-#: without it), though the route sums its series box by box
-UNREAD_ALLOWED = {"enumerate_atuples", "su2_tensor_multiplicity"}
+#: public definitions that nothing in the package reads: Tsukamoto's
+#: a-tuples, which ``sobranch.__all__`` exports, the tests' reference series
+#: sums and perfbench's tracer looks up in ``sobranch.tsukamoto`` (it fails at
+#: install without it), though the route sums its series box by box
+UNREAD_ALLOWED = {"enumerate_atuples"}
 
 
 def unread_definitions(sources: dict[str, str]) -> set[str]:

@@ -9,14 +9,13 @@ from sobranch.errors import DomainError
 from sobranch.partition import (
     PartitionCache,
     PartitionFunction,
-    count_sigma_prime,
     count_vector_partitions,
     partition_function,
     shared_cache,
 )
 from sobranch.weights import Weight, make_root_data
 
-from algebra_reference import shift_last
+from algebra_reference import count_sigma_prime, shift_last
 from partition_reference import ScalarPartitionFunction, scalar_partition_function
 
 w = Weight.of_ints
@@ -158,6 +157,22 @@ def _cold_binding(generators):
     """A new binding of the multiset: its memo namespace is new, so it
     counts from a cold cache."""
     return PartitionFunction(partition_function(generators).gens2)
+
+
+def test_each_row_is_stored_once():
+    cache = shared_cache()
+    old_limit = cache.max_entries
+    bound = _cold_binding(make_root_data("B", 3).sigma)
+    heads = [(2, 2, 0), (4, 2, 2), (6, 4, 2), (2, 0, 0), (4, 4, 4)]
+    try:
+        cache.set_max_entries(1)  # empty it, so no eviction falls inside the test
+        cache.set_max_entries(old_limit)
+        rows = [bound.row(head) for head in heads]
+        assert all(rows)
+        row_level = [key for key in cache._data if key[0] == bound._ns and key[1] in (0, -1)]
+        assert sorted(key[2] for key in row_level) == sorted(heads)
+    finally:
+        cache.set_max_entries(old_limit)
 
 
 def test_cache_is_bounded_and_evicts_wholesale():
