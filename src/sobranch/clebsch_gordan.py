@@ -73,7 +73,7 @@ def closed_form_B(lam: Weight, mu: Weight) -> So3MultiSet:
     """Family B multiplicity space as an SO(3) multiset, valid under simple
     interlacing: tensor tau_{lam_{n+1}} with, for each j <= n, the ladder
     tau_{lam_j - |mu_j|}, tau_{lam_j - |mu_j| - 2}, ..."""
-    if not interlace("simple", FAMILY_B, lam, mu):
+    if not interlace(FAMILY_B, lam, mu):
         raise InterlacingError(lam, mu, FAMILY_B)
     n = mu.rank
     l = lam.to_ints()
@@ -87,7 +87,7 @@ def closed_form_D(lam: Weight, mu: Weight) -> So3MultiSet:
     """Family D multiplicity space as an SO(3) multiset, valid under simple
     interlacing: tensor the consecutive block tau_{|lam_{n+2}|} + ... +
     tau_{lam_{n+1}} with the ladders tau_{lam_m - mu_m - 2j}."""
-    if not interlace("simple", FAMILY_D, lam, mu):
+    if not interlace(FAMILY_D, lam, mu):
         raise InterlacingError(lam, mu, FAMILY_D)
     n = mu.rank
     l = lam.to_ints()

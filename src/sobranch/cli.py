@@ -12,9 +12,11 @@ once per (lam, mu) pair to a reader of k, kept in the method's slot for
 the current pair; a grid point then costs one slot lookup and one read per
 method.  A pair is validated once, where it enters: the walk's pairs are
 valid by construction (``iter_dominant_weights`` makes the verify grid and
-every mu of ``decompose``, whose lam ``check_pair`` tests first), ``mult``
+every mu of ``decompose``, whose lam ``check_lam`` tests first), ``mult``
 builds its one ``BranchingQuery`` up front, and the routes that answer
 queries derive each k's from their pair's (``BranchingQuery.with_k``).
+Both walks count their grid's pairs first, through ``_check_grid``, and
+refuse one too large before they build any weight of it.
 
 Exit codes: 0 success/agreement, 1 divergence between methods, 2 usage
 error.  Reports go to stdout, diagnostics to stderr.  The environment
@@ -43,8 +45,7 @@ from .weights import (
     BranchingQuery,
     Weight,
     check_family_n,
-    check_pair,
-    check_rank,
+    check_lam,
     count_dominant_weights,
     g_rank,
     iter_dominant_weights,
@@ -163,15 +164,14 @@ def _cmd_mult(args: argparse.Namespace, out) -> int:
 
 def _cmd_decompose(args: argparse.Namespace, out) -> int:
     lam = Weight.of_ints(args.lam)
-    # family, n and lam's rank first, so that no weight of rank n is built
-    # for an n that lam does not match; mu = 0 is dominant for every
-    # subgroup, so check_pair then checks the rest of lam
-    check_rank("lam", lam, g_rank(args.family, args.n))
-    check_pair(args.family, args.n, lam, Weight((0,) * args.n))
+    check_lam(args.family, args.n, lam)
     # a non-zero entry has mu_1 <= lam_1 and k at most the coordinate sum of
     # lam, so the walk over these mu reaches every entry of the table
+    top = args.lam[0]
+    _check_grid(args.family, args.n, 1, top,
+                f"decompose grid of family {args.family} n={args.n} lam={lam}")
     method = args.methods
-    mus = list(iter_dominant_weights(k_family(args.family), args.n, max(args.lam)))
+    mus = list(iter_dominant_weights(k_family(args.family), args.n, top))
     rows = [
         _row(mu.to_ints(), k, method, values[method])
         for _, mu, k, values in _walk(args.family, args.n, [lam], mus, (method,))
@@ -197,12 +197,22 @@ def _walk(family: str, n: int, lams: Iterable[Weight], mus: list[Weight], method
                 }
 
 
-#: most coordinates the (lam, mu) pairs of a verify grid may hold together.
-#: Every pair reads all of its own, so this bounds a sweep's least work, and
-#: it refuses a huge n, even at max 0, before any weight of rank n is built.
-#: D n=4 max=4 (20,580 pairs of 10 coordinates) and B n=9 max=2 (4,290 of 19)
-#: are well inside.
+#: most coordinates the (lam, mu) pairs of a verify or decompose grid may
+#: hold together.  Every pair reads all of its own, so this bounds a walk's
+#: least work, and it refuses a huge n, even at max 0, or a huge lam_1
+#: before any weight of rank n is built.  D n=4 max=4 (20,580 pairs of 10
+#: coordinates) and B n=9 max=2 (4,290 of 19) are well inside.
 _GRID_COORDINATES = 1_000_000
+
+
+def _check_grid(family: str, n: int, lams: int, bound: int, grid: str) -> None:
+    """Raise DomainError, naming the ``grid``, if ``lams`` lams paired with
+    every dominant mu of first coordinate at most ``bound`` hold more than
+    ``_GRID_COORDINATES`` coordinates; the mu are counted, not built."""
+    pairs = lams * count_dominant_weights(k_family(family), n, bound, _GRID_COORDINATES)
+    if pairs * (g_rank(family, n) + n) > _GRID_COORDINATES:
+        raise DomainError(f"the {grid} is too large: "
+                          f"its (lam, mu) pairs hold more than {_GRID_COORDINATES} coordinates")
 
 
 def sweep(family: str, n: int, bound: int, methods: tuple[str, ...]):
@@ -211,11 +221,8 @@ def sweep(family: str, n: int, bound: int, methods: tuple[str, ...]):
     ``_GRID_COORDINATES`` coordinates raises DomainError before any weight
     is built."""
     lam_rank = g_rank(family, n)
-    pairs = (count_dominant_weights(family, lam_rank, bound, _GRID_COORDINATES)
-             * count_dominant_weights(k_family(family), n, bound, _GRID_COORDINATES))
-    if pairs * (lam_rank + n) > _GRID_COORDINATES:
-        raise DomainError(f"the verify grid of family {family} n={n} max={bound} is too large: "
-                          f"its (lam, mu) pairs hold more than {_GRID_COORDINATES} coordinates")
+    _check_grid(family, n, count_dominant_weights(family, lam_rank, bound, _GRID_COORDINATES), bound,
+                f"verify grid of family {family} n={n} max={bound}")
     mus = list(iter_dominant_weights(k_family(family), n, bound))
     return _walk(family, n, iter_dominant_weights(family, lam_rank, bound), mus, methods)
 

@@ -191,7 +191,7 @@ def reduced_pair(family: str, n: int, lam: Weight, mu: Weight):
     the pair is tested as given, and only a pair that binds is normalized;
     the bind reads the doubled coordinates and builds no weight."""
     check_pair(family, n, lam, mu)  # n against mu's rank; interlace then hits its memo
-    if not interlace("simple", family, lam, mu):
+    if not interlace(family, lam, mu):
         raise InterlacingError(*normalize_pair(family, lam, mu), family)
     top, sub = normalize_pair(family, lam, mu)
     top2 = top.coords2

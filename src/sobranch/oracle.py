@@ -12,7 +12,10 @@ them into a full weight system, over each dominant weight's coordinate
 arrangements under every ``weights.sign_patterns``, for the tests.
 
 Algebras are designated by (family, rank) pairs with family 'B' or 'D'; all
-arithmetic is exact on doubled-integer tuples.
+arithmetic is exact on doubled-integer tuples.  Inputs are checked by the
+definitions in ``weights`` alone: ``branch_oracle``'s lam by ``check_lam``,
+with ``check_pair``'s messages, and ``weyl_dim``'s algebra by its root
+system and its weight by ``check_rank`` and the weight-fault memo.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from .weights import (
     FAMILY_D,
     IntMap,
     Weight,
+    _weight_fault,
     algebra_positive_roots,
     algebra_rho,
-    check_family,
+    check_lam,
+    check_rank,
     g_rank,
-    is_dominant,
     iter_dominant_weights,
     k_family,
     sign_patterns,
@@ -57,14 +61,6 @@ _ORBIT_TABLES = 256
 #: dominant chambers kept, one per (family, rank, first coordinate bound):
 #: the B n=6 tail reads 8
 _CHAMBERS = 32
-
-
-def _check_algebra(algebra: Algebra) -> Algebra:
-    family, rank = algebra
-    check_family(family)
-    if rank < 1 or (family == FAMILY_D and rank < 2):
-        raise DomainError(f"unsupported algebra {family}_{rank}")
-    return family, rank
 
 
 class MultiplicityTable(IntMap):
@@ -247,21 +243,16 @@ def _char_items(family: str, rank: int, lam2: tuple[int, ...]) -> tuple[tuple[tu
     return tuple(sorted(out.items()))
 
 
-def _require_dominant_integral(algebra: Algebra, lam: Weight) -> Algebra:
-    family, rank = _check_algebra(algebra)
-    if lam.rank != rank:
-        raise DomainError(f"weight rank {lam.rank} does not match algebra rank {rank}")
-    if not lam.is_integral:
-        raise DomainError(f"{lam} is not integral")
-    if not is_dominant(family, lam):
-        raise DomainError(f"{lam} is not dominant for {family}_{rank}")
-    return family, rank
-
-
 def weyl_dim(algebra: Algebra, lam: Weight) -> int:
-    """Dimension by the Weyl product formula."""
-    family, rank = _require_dominant_integral(algebra, lam)
+    """Dimension by the Weyl product formula.  An algebra with no root system
+    here, or a lam of another rank, not integral or not dominant, raises
+    DomainError."""
+    family, rank = algebra
     roots2, _, rho2, den = _algebra_data(family, rank)
+    check_rank("lam", lam, rank)
+    fault = _weight_fault(family, lam)
+    if fault:
+        raise DomainError(f"lam={lam} is not {fault} for {family}_{rank}")
     top2 = tuple(map(add, lam.coords2, rho2))
     num = 1
     for a2, _ in roots2:
@@ -283,9 +274,10 @@ def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:
     Purely character-theoretic; shares nothing with the partition-function
     or generating-function routes.
     """
-    gfam, grank = _require_dominant_integral((family, g_rank(family, n)), lam)
+    check_lam(family, n, lam)
+    grank = g_rank(family, n)
     kfam = k_family(family)
-    mults = dict(_dominant_mults(gfam, grank, lam.coords2))
+    mults = dict(_dominant_mults(family, grank, lam.coords2))
     top = lam.to_ints()[0]
     # restriction drops no slot under family B and slot n under family D, so
     # the restricted multiplicity sums over the dropped coordinate's values
@@ -295,7 +287,7 @@ def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:
     entries: dict[tuple[tuple[int, ...], int], int] = {}
     for mu2 in sorted((mu.coords2 for mu in iter_dominant_weights(kfam, n, top)), reverse=True):
         for k2 in range(2 * top, -1, -2):
-            m = sum(mults.get(_dominant_rep2(gfam, mu2 + d + (k2,)), 0) for d in dropped)
+            m = sum(mults.get(_dominant_rep2(family, mu2 + d + (k2,)), 0) for d in dropped)
             m -= taken.get(mu2 + (k2,), 0)
             if m < 0:
                 raise InternalInconsistencyError(
@@ -312,7 +304,7 @@ def branch_oracle(family: str, n: int, lam: Weight) -> MultiplicityTable:
         m * weyl_dim((kfam, n), Weight.of_ints(mu)) * (2 * k + 1)
         for (mu, k), m in entries.items()
     )
-    if total != weyl_dim((gfam, grank), lam):
+    if total != weyl_dim((family, grank), lam):
         raise InternalInconsistencyError(
             f"dimension check failed: {total} != dim of {lam}"
         )

@@ -18,7 +18,7 @@ from .errors import (
     DomainError,
     InternalInconsistencyError,
 )
-from .weights import FAMILY_B, FAMILY_D, Weight, check_pair
+from .weights import FAMILY_B, FAMILY_D, Weight, _check_k, check_pair
 
 
 class U3Weight(namedtuple("U3Weight", "a1 a2 a3")):
@@ -50,8 +50,7 @@ def u3_to_so3_closed(lam_prime: U3Weight, k: int) -> int:
     The cases are guarded exclusively in their displayed order; overlapping
     boundaries agree (checked in the test suite, not assumed here).
     """
-    if type(k) is not int or k < 0:
-        raise DomainError("k must be a non-negative integer")
+    _check_k(k)
     p = lam_prime.a1 - lam_prime.a3
     q = lam_prime.a2 - lam_prime.a3
     if 0 <= p <= k - 1:
@@ -125,8 +124,7 @@ def u3_to_so3_oracle(lam_prime: U3Weight, k: int) -> int:
     """Multiplicity of the (2k+1)-dimensional SO(3) irreducible by
     Gelfand-Tsetlin counting plus character stripping; independent of the
     closed formula."""
-    if type(k) is not int or k < 0:
-        raise DomainError("k must be a non-negative integer")
+    _check_k(k)
     p = lam_prime.a1 - lam_prime.a3
     q = lam_prime.a2 - lam_prime.a3
     return dict(_so3_content(p, q)).get(k, 0)

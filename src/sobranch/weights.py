@@ -21,14 +21,14 @@ SO(3) torus coordinate.
 
 ``check_pair`` is the package's one definition of a valid branching pair
 (family, n, lam, mu); every entry point that takes a pair calls it, either
-directly, or through ``interlace`` (the closed forms, whose "simple" case is
-their precondition), or through ``BranchingQuery``, the one query type every
-route answers (its ``with_k`` checks only k).  No route reads the "triple"
-case: it is the vanishing pattern the tests check the routes against.
-``check_pair`` remembers the last valid pairs and, behind them, each
-weight's fault (not integral, not dominant, or none), both in bounded LRUs,
-so a sweep's new pair, built from weights seen before, costs its rank tests
-and two lookups.
+directly, or through ``interlace`` (the closed forms, whose precondition is
+simple interlacing), or through ``BranchingQuery``, the one query type every
+route answers (its ``with_k`` checks only k, by ``_check_k``, as the U(3)
+routes do).  ``check_lam`` applies its rules and messages to an ambient
+highest weight alone, for the oracle and ``decompose``.  ``check_pair``
+remembers the last valid pairs and, behind them, each weight's fault (not
+integral, not dominant, or none), both in bounded LRUs, so a sweep's new
+pair, built from weights seen before, costs its rank tests and two lookups.
 ``IntMap`` is the one map to non-zero integers that every route's container
 (Laurent series, SO(3) multisets, branching tables) subclasses.
 """
@@ -419,42 +419,24 @@ def check_pair(family: str, n: int, lam: Weight, mu: Weight) -> None:
         raise DomainError(f"mu={mu} is not dominant (family {family})")
 
 
-def interlace(kind: str, family: str, lam: Weight, mu: Weight) -> bool:
-    """Interlacing predicates between ambient and subgroup highest weights.
+def check_lam(family: str, n: int, lam: Weight) -> None:
+    """``check_pair``'s test of the ambient highest weight alone, with its
+    messages: lam's rank first, so a wrong lam builds no weight of rank n,
+    then the pair of lam and mu = 0, which is dominant for every K."""
+    check_rank("lam", lam, g_rank(family, n))
+    check_pair(family, n, lam, Weight((0,) * n))
 
-    kind='simple': family B requires lam_i >= |mu_i| >= lam_{i+1}; family D
-    requires lam_i >= mu_i >= lam_{i+1}, for 1 <= i <= n.
 
-    kind='triple' is the non-vanishing pattern, three steps wide: family B
-    requires lam_i >= mu_i >= lam_{i+3} for i <= n-1 (missing coordinates
-    read as 0) together with lam_n >= |mu_n|; family D requires
-    lam_i >= mu_i >= lam_{i+3} for i <= n-2, lam_{n-1} >= mu_{n-1} >=
-    |lam_{n+2}| when n >= 2, and lam_n >= mu_n.
-
-    n is the rank of mu, and a pair that fails ``check_pair`` raises
-    DomainError.
-    """
-    if kind not in ("simple", "triple"):
-        raise DomainError(f"unknown interlacing kind {kind!r}")
-    n = mu.rank
-    check_pair(family, n, lam, mu)
+def interlace(family: str, lam: Weight, mu: Weight) -> bool:
+    """Whether mu simply interlaces lam: family B requires lam_i >= |mu_i| >=
+    lam_{i+1}, family D lam_i >= mu_i >= lam_{i+1}, for 1 <= i <= n, n the
+    rank of mu.  A pair that fails ``check_pair`` raises DomainError."""
+    check_pair(family, mu.rank, lam, mu)
     l2 = lam.coords2
-    m2 = mu.coords2
-    if kind == "simple":
-        for a, m, b in zip(l2, map(abs, m2) if family == FAMILY_B else m2, l2[1:]):
-            if not a >= m >= b:
-                return False
-        return True
-    if family == FAMILY_B:
-        for a, m, b in zip(l2, m2[:-1], l2[3:] + (0, 0)):
-            if not a >= m >= b:
-                return False
-        return l2[n - 1] >= abs(m2[n - 1])
-    for a, m, b in zip(l2, m2[:-2], l2[3:]):
+    for a, m, b in zip(l2, map(abs, mu.coords2) if family == FAMILY_B else mu.coords2, l2[1:]):
         if not a >= m >= b:
             return False
-    middle = n < 2 or l2[n - 2] >= m2[n - 2] >= abs(l2[n + 1])
-    return middle and l2[n - 1] >= m2[n - 1]
+    return True
 
 
 def tilde(family: str, w: Weight) -> Weight:
@@ -466,7 +448,7 @@ def tilde(family: str, w: Weight) -> Weight:
 
 
 def _check_k(k: int) -> None:
-    """The test of k that every BranchingQuery runs."""
+    """The one test of k: every BranchingQuery and both U(3) routes run it."""
     if type(k) is not int:
         raise DomainError(f"k must be an integer, got {k!r}")
     if k < 0:

@@ -1,7 +1,8 @@
 """The tests' algebra on the package's types, kept out of the package
 because no route and no command reads it: characters as signed maps on the
 weight lattice, with the Weyl group's action on them and their product, the
-alternating orbit sum ``xi`` and whole weight systems; the group law of
+alternating orbit sum ``xi`` and whole weight systems; the triple
+interlacing pattern that every route's zeros obey; the group law of
 signed permutations; the ring operations of Laurent series with the
 quantum bracket; the accessors only the tests read (the algebras of a
 root system, dimensions of SO(3) multisets and U(3) weights, shifts); and
@@ -19,11 +20,21 @@ holds them.
 from functools import lru_cache
 
 from sobranch.errors import DomainError, InternalInconsistencyError
-from sobranch.oracle import _char_items, _check_algebra, _require_dominant_integral
+from sobranch.oracle import _char_items, weyl_dim
 from sobranch.partition import partition_function
 from sobranch.tsukamoto import LaurentPoly
 from sobranch.u3_so3 import U3Weight
-from sobranch.weights import IntMap, SignedPermutation, Weight, k_family, weyl_elements
+from sobranch.weights import (
+    FAMILY_B,
+    IntMap,
+    SignedPermutation,
+    Weight,
+    algebra_positive_roots,
+    check_pair,
+    check_rank,
+    k_family,
+    weyl_elements,
+)
 
 
 class CharacterMap(IntMap):
@@ -49,17 +60,45 @@ class CharacterMap(IntMap):
 
 def weight_multiplicities(algebra, lam):
     """Exact weight multiplicities of the irreducible with highest weight
-    lam: the oracle's dominant multiplicities spread over the whole system."""
-    family, rank = _require_dominant_integral(algebra, lam)
-    return CharacterMap(_char_items(family, rank, lam.coords2))
+    lam: the oracle's dominant multiplicities spread over the whole system.
+    ``weyl_dim`` checks the algebra and lam first."""
+    weyl_dim(algebra, lam)
+    return CharacterMap(_char_items(*algebra, lam.coords2))
 
 
 def xi(algebra, eta):
     """The alternating Weyl-orbit sum of e^eta as a signed map."""
-    family, rank = _check_algebra(algebra)
-    if eta.rank != rank:
-        raise DomainError(f"weight rank {eta.rank} does not match algebra rank {rank}")
+    family, rank = algebra
+    algebra_positive_roots(family, rank)  # refuses an algebra with no root system here
+    check_rank("eta", eta, rank)
     return CharacterMap((w.apply2(eta.coords2), w.sign) for w in weyl_elements(family, rank))
+
+
+def interlace_triple(family, lam, mu):
+    """The non-vanishing pattern, three steps wide, that the sweeps check
+    every route's zeros against: family B requires lam_i >= mu_i >=
+    lam_{i+3} for i <= n-1 (missing coordinates read as 0) together with
+    lam_n >= |mu_n|; family D requires lam_i >= mu_i >= lam_{i+3} for
+    i <= n-2, lam_{n-1} >= mu_{n-1} >= |lam_{n+2}| when n >= 2, and
+    lam_n >= mu_n.
+
+    n is the rank of mu, and a pair that fails ``check_pair`` raises
+    DomainError.
+    """
+    n = mu.rank
+    check_pair(family, n, lam, mu)
+    l2 = lam.coords2
+    m2 = mu.coords2
+    if family == FAMILY_B:
+        for a, m, b in zip(l2, m2[:-1], l2[3:] + (0, 0)):
+            if not a >= m >= b:
+                return False
+        return l2[n - 1] >= abs(m2[n - 1])
+    for a, m, b in zip(l2, m2[:-2], l2[3:]):
+        if not a >= m >= b:
+            return False
+    middle = n < 2 or l2[n - 2] >= m2[n - 2] >= abs(l2[n + 1])
+    return middle and l2[n - 1] >= m2[n - 1]
 
 
 def identity(rank):

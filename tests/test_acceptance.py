@@ -11,6 +11,7 @@ import pytest
 from algebra_reference import (
     count_sigma_prime,
     g_algebra,
+    interlace_triple,
     k_algebra,
     shift_last,
     su2_tensor_multiplicity,
@@ -119,7 +120,7 @@ def _assert_four_way_agreement(sweep: SweepData):
             # the reduced sum and the closed form exactly at simple-interlacing
             # ones, and ending exactly where the end is prescribed
             assert None not in (row["kostant-full"], row["tsukamoto"], row["oracle"]), row
-            simple = interlace("simple", sweep.family, record.lam, w(mu))
+            simple = interlace(sweep.family, record.lam, w(mu))
             for method in ("kostant-reduced", "closed-form"):
                 assert (row[method] is None) == (not simple), (method, record.lam, mu, k, row)
             ending_applies = _prescribed_end(sweep.family, record.lam, mu)
@@ -153,8 +154,8 @@ def _assert_nonzero_implies_triple_interlacing(sweep: SweepData):
         for (mu, k), row in record.rows.items():
             nonzero = sorted(method for method, value in row.items() if value)
             if nonzero:
-                assert interlace(
-                    "triple", sweep.family, record.lam, w(mu)
+                assert interlace_triple(
+                    sweep.family, record.lam, w(mu)
                 ), (sweep.family, record.lam, mu, k, nonzero)
 
 
@@ -342,7 +343,7 @@ def test_criterion_12_tensor_product_theorem_at_n5_to_n8():
             for lam in iter_dominant_weights(family, g_rank(family, n), 2):
                 table = branch_oracle(family, n, lam) if n <= 6 else None
                 for mu in iter_dominant_weights(k_family(family), n, 2):
-                    if not interlace("simple", family, lam, mu):
+                    if not interlace(family, lam, mu):
                         continue
                     pairs += 1
                     dims = _paper_factor_dimensions(family, lam, mu)

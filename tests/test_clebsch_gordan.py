@@ -130,14 +130,14 @@ def test_closed_form_dimension_conservation_sweep():
     ladder = lambda top: sum(2 * j + 1 for j in range(top, -1, -2))
     for lam in iter_dominant_weights("B", 3, 3):
         for mu in iter_dominant_weights("D", 2, 3):
-            if not interlace("simple", "B", lam, mu):
+            if not interlace("B", lam, mu):
                 continue
             l, m = lam.to_ints(), mu.to_ints()
             expected = (2 * l[2] + 1) * ladder(l[0] - abs(m[0])) * ladder(l[1] - abs(m[1]))
             assert so3_dimension(closed_form_B(lam, mu)) == expected
     for lam in iter_dominant_weights("D", 3, 3):
         for mu in iter_dominant_weights("B", 1, 3):
-            if not interlace("simple", "D", lam, mu):
+            if not interlace("D", lam, mu):
                 continue
             l, m = lam.to_ints(), mu.to_ints()
             block = sum(2 * j + 1 for j in range(abs(l[2]), l[1] + 1))

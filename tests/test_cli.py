@@ -174,7 +174,7 @@ def test_decompose_closed_form_subset_of_oracle(capsys):
         assert closed_rows == sorted(
             ((mu.to_ints(), k), m)
             for mu in mus
-            if interlace("simple", family, lam, mu)
+            if interlace(family, lam, mu)
             for k, m in closed_form(lam, mu).items()
         ), lam
         assert all(table.get(mu, k) == m for (mu, k), m in closed_rows), lam
@@ -636,6 +636,26 @@ def test_verify_counts_its_grid_before_it_builds_a_weight_of_rank_n(capsys, boun
         2, "", f"error: the verify grid of family B n={n} max={bound} is too large: "
         f"its (lam, mu) pairs hold more than {cli._GRID_COORDINATES} coordinates\n")
     assert peak < 8 * 2**20, peak
+
+
+def test_decompose_counts_its_grid_before_it_builds_a_mu(capsys):
+    # lam_1 = 10**5 leaves some 10**10 mu of D_2 below it: the grid is
+    # refused from its count, with one usage error and not a MemoryError
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "decompose", "--family", "B", "--n", "2", "--lam", "100000,0,0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (
+        2, "", "error: the decompose grid of family B n=2 lam=(100000, 0, 0) is too large: "
+        f"its (lam, mu) pairs hold more than {cli._GRID_COORDINATES} coordinates\n")
+    assert peak < 8 * 2**20, peak
+
+
+def test_u3so3_names_a_negative_k_as_mult_does(capsys):
+    assert run(capsys, "u3so3", "--lam", "2,0,0", "--k", "-1") == (
+        2, "", "error: k must be non-negative\n")
 
 
 def test_grid_count_matches_the_walk():

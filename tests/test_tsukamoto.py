@@ -14,9 +14,9 @@ from sobranch.tsukamoto import (
     multiplicity_tsukamoto,
     tsukamoto_generating_function,
 )
-from sobranch.weights import Weight, interlace, iter_dominant_weights, make_root_data, tilde
+from sobranch.weights import Weight, iter_dominant_weights, make_root_data, tilde
 
-from algebra_reference import poly_add, poly_mul, poly_sub, quantum_bracket
+from algebra_reference import interlace_triple, poly_add, poly_mul, poly_sub, quantum_bracket
 
 w = Weight.of_ints
 
@@ -95,7 +95,7 @@ def test_atuple_bracket_arguments_positive():
     for family, grank, n, kfam in (("B", 3, 2, "D"), ("D", 3, 1, "B")):
         for lam in iter_dominant_weights(family, grank, 3):
             for mu in iter_dominant_weights(kfam, n, 3):
-                if not interlace("triple", family, lam, mu):
+                if not interlace_triple(family, lam, mu):
                     continue
                 for at in enumerate_atuples(family, lam, mu):
                     assert all(v >= 2 and v % 2 == 0 for v in at.l2[:-1])
@@ -118,7 +118,7 @@ def test_no_atuple_off_the_triple_pattern(family, n, bound):
     off = 0
     for lam in iter_dominant_weights(family, rank, bound):
         for mu in mus:
-            if not interlace("triple", family, lam, mu):
+            if not interlace_triple(family, lam, mu):
                 off += 1
                 assert enumerate_atuples(family, lam, mu) == (), (lam, mu)
             else:
@@ -196,7 +196,7 @@ def test_denominator_exactness():
 def reference_series(family, lam, mu):
     """The series as a sum of LaurentPoly products of quantum brackets."""
     total = LaurentPoly()
-    if interlace("triple", family, lam, mu):
+    if interlace_triple(family, lam, mu):
         for at in enumerate_atuples(family, lam, mu):
             term = pair(at.l2[-1])
             for l2 in at.l2[:-1]:

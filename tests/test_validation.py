@@ -1,7 +1,11 @@
-"""Every library entry that takes a branching pair (family, n, lam, mu)
-rejects an invalid one with DomainError, through ``weights.check_pair``."""
+"""Every library entry that takes a branching pair (family, n, lam, mu), or
+its lam alone, rejects an invalid one with DomainError, through
+``weights.check_pair`` (``weights.check_lam`` for lam alone, with the same
+messages).  So does the tests' triple-interlacing reference, which the
+sweeps read: it never answers for an invalid pair."""
 
 import pytest
+from algebra_reference import interlace_triple
 
 from sobranch.clebsch_gordan import closed_form_B, closed_form_D
 from sobranch.errors import DomainError, PreconditionError
@@ -66,8 +70,8 @@ ENDING = {"B": ending_B, "D": ending_D}
 # name -> (call, whether it needs a known family, whether it checks mu)
 ENTRIES = {
     "query": (lambda f, n, lam, mu: BranchingQuery(f, n, lam, mu, 0), False, True),
-    "interlace-simple": (lambda f, n, lam, mu: interlace("simple", f, lam, mu), False, True),
-    "interlace-triple": (lambda f, n, lam, mu: interlace("triple", f, lam, mu), False, True),
+    "interlace-simple": (lambda f, n, lam, mu: interlace(f, lam, mu), False, True),
+    "interlace-triple": (lambda f, n, lam, mu: interlace_triple(f, lam, mu), False, True),
     "tsukamoto": (lambda f, n, lam, mu: tsukamoto_generating_function(f, lam, mu), False, True),
     "atuples": (lambda f, n, lam, mu: enumerate_atuples(f, lam, mu), False, True),
     "closed-form": (lambda f, n, lam, mu: CLOSED_FORM[f](lam, mu), True, True),
@@ -97,6 +101,16 @@ def test_check_pair_names_the_first_fault():
         with pytest.raises(DomainError) as raised:
             check_pair(family, n, lam, mu)
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("row_id, family, n, lam", [
+    pytest.param(row_id, family, n, lam, id=row_id)
+    for row_id, family, n, lam, _, lam_side in BAD_PAIRS if lam_side
+])
+def test_the_oracle_names_a_bad_lam_as_check_pair_does(row_id, family, n, lam):
+    with pytest.raises(DomainError) as raised:
+        branch_oracle(family, n, lam)
+    assert str(raised.value) == MESSAGES[row_id]
 
 
 def test_an_invalid_pair_raises_on_every_call():

@@ -13,6 +13,7 @@ from algebra_reference import (
     compose,
     g_algebra,
     identity,
+    interlace_triple,
     k_algebra,
     poly_sub,
     reflection,
@@ -225,32 +226,32 @@ def test_dominance():
 
 
 def test_interlace_simple():
-    assert interlace("simple", "B", w([1, 0, 0]), w([0, 0]))
-    assert not interlace("simple", "B", w([1, 0, 0]), w([1, 1]))
-    assert interlace("simple", "B", w([2, 1, 1]), w([2, -1]))
-    assert interlace("simple", "D", w([2, 1, 0]), w([1]))
-    assert not interlace("simple", "D", w([2, 2, 0]), w([1]))
+    assert interlace("B", w([1, 0, 0]), w([0, 0]))
+    assert not interlace("B", w([1, 0, 0]), w([1, 1]))
+    assert interlace("B", w([2, 1, 1]), w([2, -1]))
+    assert interlace("D", w([2, 1, 0]), w([1]))
+    assert not interlace("D", w([2, 2, 0]), w([1]))
 
 
 def test_interlace_triple():
     # lam_1 >= mu_1 >= lam_4 = 0 and lam_2 >= |mu_2|
-    assert interlace("triple", "B", w([2, 1, 0]), w([1, -1]))
-    assert not interlace("triple", "B", w([2, 1, 0]), w([2, 2]))
-    assert interlace("triple", "D", w([2, 1, 1]), w([2]))
-    assert not interlace("triple", "D", w([2, 1, 1]), w([3]))
+    assert interlace_triple("B", w([2, 1, 0]), w([1, -1]))
+    assert not interlace_triple("B", w([2, 1, 0]), w([2, 2]))
+    assert interlace_triple("D", w([2, 1, 1]), w([2]))
+    assert not interlace_triple("D", w([2, 1, 1]), w([3]))
     # family D, n=2: lam_1 >= mu_1 >= |lam_4| and lam_2 >= mu_2
-    assert interlace("triple", "D", w([2, 2, 1, -1]), w([1, 1]))
-    assert not interlace("triple", "D", w([2, 2, 1, -1]), w([0, 0]))
+    assert interlace_triple("D", w([2, 2, 1, -1]), w([1, 1]))
+    assert not interlace_triple("D", w([2, 2, 1, -1]), w([0, 0]))
 
 
 def test_interlace_rejects_non_dominant_inputs():
     # the mu side here is not dominant for SO(4), so this is a domain error
     with pytest.raises(DomainError):
-        interlace("triple", "B", w([2, 1, 0]), w([0, -1]))
+        interlace_triple("B", w([2, 1, 0]), w([0, -1]))
     with pytest.raises(DomainError):
-        interlace("simple", "B", w([0, 1, 0]), w([0, 0]))
+        interlace("B", w([2, 1, 0]), w([0, -1]))
     with pytest.raises(DomainError):
-        interlace("cubic", "B", w([1, 0, 0]), w([0, 0]))
+        interlace("B", w([0, 1, 0]), w([0, 0]))
 
 
 def test_tilde():
